@@ -46,7 +46,6 @@ class PolicyChain {
   PolicyChain() = default;
   explicit PolicyChain(std::vector<PolicyRule> rules) : rules_(std::move(rules)) {}
 
-  void add_rule(PolicyRule rule) { rules_.push_back(std::move(rule)); }
   bool empty() const noexcept { return rules_.empty(); }
 
   // Applies the chain; returns false if the route is rejected. On accept,

@@ -1,7 +1,6 @@
 #include "bgp/speaker.h"
 
 #include <optional>
-#include <set>
 
 #include "telemetry/metrics.h"
 #include "util/logging.h"
@@ -21,7 +20,6 @@ struct BgpMetrics {
   telemetry::Counter* routes_rejected_by_loop;
   telemetry::Counter* decode_errors;
   telemetry::Counter* refreshes_received;
-  telemetry::Histogram* batch_size;
 
   static BgpMetrics& get() {
     static BgpMetrics m = [] {
@@ -32,10 +30,7 @@ struct BgpMetrics {
                         &reg.counter("bgp.speaker.routes_rejected_by_policy"),
                         &reg.counter("bgp.speaker.routes_rejected_by_loop"),
                         &reg.counter("bgp.speaker.decode_errors"),
-                        &reg.counter("bgp.speaker.refreshes_received"),
-                        &reg.histogram(
-                            "bgp.speaker.batch_size",
-                            telemetry::Histogram::exponential_bounds(1.0, 4096.0, 2.0))};
+                        &reg.counter("bgp.speaker.refreshes_received")};
     }();
     return m;
   }
@@ -246,73 +241,6 @@ std::vector<Outgoing> BgpSpeaker::process_update(PeerId from, const UpdateMessag
   for (const auto& prefix : update.nlri) {
     if (stage_nlri(from, prefix, *update.attributes)) run_decision(prefix, out, now);
   }
-  return out;
-}
-
-std::vector<Outgoing> BgpSpeaker::handle_batch(std::span<const Incoming> batch, double now) {
-  std::vector<Outgoing> out;
-  std::vector<net::Prefix> touched;  // first-touch order
-  std::set<net::Prefix> seen;
-  const auto touch = [&](const net::Prefix& prefix) {
-    if (seen.insert(prefix).second) touched.push_back(prefix);
-  };
-
-  // Stage 1: pre-decode. Parsing is pure, so with an attached pool the
-  // whole batch decodes in parallel into index-addressed slots; the
-  // stateful consumption below stays strictly in arrival order either way,
-  // so thread count never shows in the output.
-  std::vector<std::optional<Message>> decoded(batch.size());
-  const auto decode_one = [&](std::size_t i) {
-    try {
-      decoded[i] = decode_message(batch[i].bytes);
-    } catch (const util::DecodeError&) {
-      // Slot stays empty; the sequential pass runs the full error protocol.
-    }
-  };
-  if (pool_ != nullptr && pool_->size() > 1 && batch.size() > 1) {
-    pool_->parallel_for_stage("decode", 0, batch.size(), 0, decode_one);
-  } else {
-    for (std::size_t i = 0; i < batch.size(); ++i) decode_one(i);
-  }
-
-  for (std::size_t bi = 0; bi < batch.size(); ++bi) {
-    const auto& msg = batch[bi];
-    if (!decoded[bi].has_value()) {
-      // Cold path: re-run the regular handler for its full error protocol.
-      auto more = handle_bytes(msg.peer, msg.bytes, now);
-      out.insert(out.end(), std::make_move_iterator(more.begin()),
-                 std::make_move_iterator(more.end()));
-      continue;
-    }
-    Message& m = *decoded[bi];
-    if (message_type(m) != MessageType::kUpdate) {
-      // Session control changes routing state synchronously; handle inline.
-      auto more = handle_message(msg.peer, m, now);
-      out.insert(out.end(), std::make_move_iterator(more.begin()),
-                 std::make_move_iterator(more.end()));
-      continue;
-    }
-    Peer& p = peers_.at(msg.peer);
-    if (p.fsm.handle(FsmEvent::kUpdateReceived, now) == FsmAction::kSendNotificationAndDrop) {
-      out.push_back(
-          {msg.peer, encode_message(Message{NotificationMessage{5 /* FSM error */, 0, {}}})});
-      continue;
-    }
-    ++stats_.updates_received;
-    BgpMetrics::get().updates_received->inc();
-    peer_metrics_[msg.peer].updates_in->inc();
-    const auto& update = std::get<UpdateMessage>(m);
-    for (const auto& prefix : update.withdrawn) {
-      if (stage_withdraw(msg.peer, prefix)) touch(prefix);
-    }
-    if (!update.attributes) continue;
-    for (const auto& prefix : update.nlri) {
-      if (stage_nlri(msg.peer, prefix, *update.attributes)) touch(prefix);
-    }
-  }
-
-  BgpMetrics::get().batch_size->record(static_cast<double>(touched.size()));
-  for (const auto& prefix : touched) run_decision(prefix, out, now);
   return out;
 }
 

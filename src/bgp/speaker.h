@@ -23,7 +23,6 @@
 #include "bgp/types.h"
 #include "telemetry/peer_metrics.h"
 #include "util/arena.h"
-#include "util/thread_pool.h"
 
 namespace dbgp::bgp {
 
@@ -77,11 +76,6 @@ class BgpSpeaker {
   std::size_t peer_count() const noexcept { return peers_.size(); }
   AsNumber peer_as(PeerId peer) const { return peers_.at(peer).asn; }
   const Config& config() const noexcept { return config_; }
-  // Attaches a pool for handle_batch's pre-decode stage. Message parsing is
-  // pure, so batches decode in parallel into index-addressed slots; all
-  // stateful processing stays sequential in arrival order, making the
-  // thread count unobservable in the output.
-  void set_thread_pool(util::ThreadPool* pool) noexcept { pool_ = pool; }
 
   // -- Session control ----------------------------------------------------
   // Starts the session toward `peer` (manual start + instant TCP connect in
@@ -97,19 +91,6 @@ class BgpSpeaker {
                                      double now);
   // Same, for an already-decoded message (used by tests and by D-BGP).
   std::vector<Outgoing> handle_message(PeerId from, const Message& m, double now);
-
-  // One raw message within a batch (bytes are only borrowed for the call).
-  struct Incoming {
-    PeerId peer = kInvalidPeer;
-    std::span<const std::uint8_t> bytes;
-  };
-  // Batched input: UPDATEs across the whole batch are staged into the
-  // Adj-RIB-In first, then the decision process runs once per touched prefix
-  // (first-touch order) — a burst of k updates for one prefix costs one
-  // decision instead of k. Non-UPDATE messages (session control) are
-  // processed immediately, in order. Same single-threaded determinism as
-  // feeding handle_bytes one message at a time.
-  std::vector<Outgoing> handle_batch(std::span<const Incoming> batch, double now);
 
   // Drives timers; may emit KEEPALIVEs, flush MRAI-paced deltas, or tear
   // down expired sessions.
@@ -145,8 +126,7 @@ class BgpSpeaker {
 
   std::vector<Outgoing> process_update(PeerId from, const UpdateMessage& update, double now);
   // Stages one withdrawal / one NLRI into the Adj-RIB-In; returns true when
-  // the decision process must run for the prefix. Shared by the immediate
-  // (process_update) and batched (handle_batch) paths.
+  // the decision process must run for the prefix.
   bool stage_withdraw(PeerId from, const net::Prefix& prefix);
   bool stage_nlri(PeerId from, const net::Prefix& prefix, const PathAttributes& update_attrs);
   // Re-runs the decision process for `prefix`; queues deltas to all peers.
@@ -181,7 +161,6 @@ class BgpSpeaker {
   std::map<net::Prefix, AttrHandle> originated_;
   std::uint64_t sequence_ = 0;
   SpeakerStats stats_;
-  util::ThreadPool* pool_ = nullptr;  // pre-decode stage only; see set_thread_pool
 };
 
 }  // namespace dbgp::bgp

@@ -37,13 +37,6 @@ std::vector<net::Prefix> IaDb::remove_peer(bgp::PeerId peer) {
   return affected;
 }
 
-IaRoute* IaDb::find_mutable(bgp::PeerId peer, const net::Prefix& prefix) {
-  auto it = routes_.find(prefix);
-  if (it == routes_.end()) return nullptr;
-  auto pit = it->second.find(peer);
-  return pit == it->second.end() ? nullptr : &pit->second;
-}
-
 std::vector<IaRoute*> IaDb::candidates_mutable(const net::Prefix& prefix) {
   std::vector<IaRoute*> out;
   auto it = routes_.find(prefix);

@@ -53,7 +53,6 @@ class IaDb {
   void clear() noexcept;
 
   const IaRoute* find(bgp::PeerId peer, const net::Prefix& prefix) const;
-  IaRoute* find_mutable(bgp::PeerId peer, const net::Prefix& prefix);
   // All candidates for a prefix in peer order (deterministic).
   std::vector<const IaRoute*> candidates(const net::Prefix& prefix) const;
   std::vector<IaRoute*> candidates_mutable(const net::Prefix& prefix);

@@ -95,7 +95,8 @@ DbgpSpeaker::DbgpSpeaker(DbgpConfig config, LookupService* lookup)
       arena_(std::make_unique<util::RibArena>()),
       ia_db_(arena_->resource()),
       selected_(arena_->resource()),
-      adj_out_(arena_->resource()) {
+      adj_out_(arena_->resource()),
+      shard_caches_(1) {
   // Default global filters per Figure 5: unified loop detection on import;
   // island handling on export.
   import_filters_.add("loop-detection", loop_detection_filter());
@@ -154,18 +155,15 @@ std::size_t DbgpSpeaker::shard_of(const net::Prefix& prefix, std::size_t shards)
   return shards <= 1 ? 0 : net::PrefixHash{}(prefix) % shards;
 }
 
-bool DbgpSpeaker::parallel_enabled() const noexcept {
-  return pool_ != nullptr && pool_->size() > 1 && shards_ > 1 && causal_ == nullptr &&
-         config_.dissemination == Dissemination::kInBand;
+bool DbgpSpeaker::parallel_active() const noexcept {
+  return pool_ != nullptr && pool_->size() > 1 && shards_ > 1;
 }
-
-bool DbgpSpeaker::parallel_active() const noexcept { return parallel_enabled(); }
 
 bool DbgpSpeaker::defer_decode() const noexcept {
   // Deferred decode changes *when* staging runs, so it is confined to
   // explicit-flush configurations: with auto-flush (max_batch > 0) the
   // trigger counts staged prefixes, which requires staging at enqueue time.
-  return parallel_enabled() && config_.max_batch == 0;
+  return parallel_active() && config_.max_batch == 0;
 }
 
 void DbgpSpeaker::drain_staged() {
@@ -260,7 +258,7 @@ std::vector<DbgpOutgoing> DbgpSpeaker::handle_frame(bgp::PeerId from,
   telemetry::ScopedTimer frame_timer(SpeakerMetrics::get().frame_seconds);
   drain_staged();  // deferred frames arrived first; stage them first
   std::vector<DbgpOutgoing> out;
-  if (auto prefix = stage_frame(from, bytes, cause)) run_decision(*prefix, out);
+  if (auto prefix = stage_frame(from, bytes, cause)) decide(*prefix, out);
   return out;
 }
 
@@ -269,7 +267,7 @@ std::vector<DbgpOutgoing> DbgpSpeaker::handle_ia(bgp::PeerId from,
                                                  telemetry::SpanId cause) {
   drain_staged();
   std::vector<DbgpOutgoing> out;
-  if (auto prefix = stage_ia(from, std::move(ia), cause)) run_decision(*prefix, out);
+  if (auto prefix = stage_ia(from, std::move(ia), cause)) decide(*prefix, out);
   return out;
 }
 
@@ -307,12 +305,12 @@ void DbgpSpeaker::flush_into(std::vector<DbgpOutgoing>& out) {
   drain_staged();
   if (batch_.empty()) return;
   SpeakerMetrics::get().batch_size->record(static_cast<double>(batch_.size()));
-  if (parallel_enabled()) {
+  if (parallel_active()) {
     ShardMetrics::get().flushes->inc();
     // Stage 2a: per-shard decision planning. Each shard owns a slice of the
-    // batch; plans read only the frozen pre-batch state (IA DB, Loc-RIB,
-    // adj-out) plus their shard-private FrameCache, so no two tasks touch
-    // the same mutable data.
+    // batch; plans read only the frozen pre-batch state (IA DB, Loc-RIB)
+    // plus their shard-private FrameCache, so no two tasks touch the same
+    // mutable data.
     std::vector<std::vector<std::size_t>> shard_work(shards_);
     for (std::size_t i = 0; i < batch_.size(); ++i) {
       shard_work[shard_of(batch_[i], shards_)].push_back(i);
@@ -327,7 +325,7 @@ void DbgpSpeaker::flush_into(std::vector<DbgpOutgoing>& out) {
     std::vector<DecisionPlan> plans(batch_.size());
     pool_->parallel_for_stage("decision", 0, shards_, 1, [&](std::size_t s) {
       for (std::size_t idx : shard_work[s]) {
-        plans[idx] = plan_decision(batch_[idx], shard_caches_[s]);
+        plan_decision(batch_[idx], shard_caches_[s], plans[idx]);
       }
     });
     // Stage 3: sequential commit in global first-touch order — the only
@@ -338,7 +336,7 @@ void DbgpSpeaker::flush_into(std::vector<DbgpOutgoing>& out) {
   } else {
     // First-touch order: decisions run in the order prefixes first appeared,
     // so a batched run remains deterministic for a given arrival sequence.
-    for (const auto& prefix : batch_) run_decision(prefix, out);
+    for (const auto& prefix : batch_) decide(prefix, out);
   }
   batch_.clear();
   batch_seen_.clear();
@@ -470,7 +468,7 @@ std::vector<DbgpOutgoing> DbgpSpeaker::peer_down(bgp::PeerId peer, telemetry::Sp
   peer_metrics_[peer].flaps->inc();
   peer_metrics_[peer].adj_out_depth->set(0);
   external_cause_ = cause;
-  for (const auto& prefix : ia_db_.remove_peer(peer)) run_decision(prefix, out);
+  for (const auto& prefix : ia_db_.remove_peer(peer)) decide(prefix, out);
   external_cause_ = 0;
   return out;
 }
@@ -491,12 +489,10 @@ void DbgpSpeaker::reset_routes() {
   batch_.clear();
   batch_seen_.clear();
   staged_.clear();
-  frame_cache_.clear();
   for (ia::FrameCache& cache : shard_caches_) cache.clear();
   // Learned causal state dies with the routes; origin_span_ survives like
   // originated_ (a reboot does not re-originate).
   pending_cause_.clear();
-  emit_parent_ = 0;
   for (auto& pm : peer_metrics_) pm.adj_out_depth->set(0);
 }
 
@@ -516,7 +512,7 @@ std::vector<DbgpOutgoing> DbgpSpeaker::originate(const net::Prefix& prefix,
     origin_span_[prefix] = root;
     pending_cause_[prefix] = root;
   }
-  run_decision(prefix, out);
+  decide(prefix, out);
   return out;
 }
 
@@ -535,50 +531,64 @@ std::vector<DbgpOutgoing> DbgpSpeaker::withdraw_origin(const net::Prefix& prefix
                            config_.asn, 0, "withdraw-origin", prefix.to_string());
       if (it != origin_span_.end()) origin_span_.erase(it);
     }
-    run_decision(prefix, out);
+    decide(prefix, out);
   }
   return out;
 }
 
 // -- Decision ------------------------------------------------------------------
+//
+// Every decision is plan + commit. plan_decision is pure: it reads the frozen
+// pre-decision state (the IA DB; the Loc-RIB only for the audit) and writes
+// only the plan and its shard's FrameCache, so shards can plan concurrently.
+// commit_plan makes every mutation and every tracer call, deciding against
+// the entries only this prefix's commit touches: whether the Loc-RIB
+// changes, and delta suppression against adj-out. Immediate input,
+// peer_down, origination, and reevaluate_all plan and commit one prefix at a
+// time; flush() plans its batch per shard (in parallel when
+// parallel_active()) and commits in first-touch order.
 
-void DbgpSpeaker::run_decision(const net::Prefix& prefix, std::vector<DbgpOutgoing>& out) {
-  DecisionModule* active = active_module(prefix);
+ia::FrameCache& DbgpSpeaker::cache_for(const net::Prefix& prefix) {
+  return shard_caches_[shard_of(prefix, shards_)];
+}
 
-  // Open the decision span, parented to the staged update that triggered
-  // this run (or to the external cause: a chaos event, a protocol switch).
-  const bool tracing = causal_ != nullptr;
-  telemetry::SpanId dspan = 0;
-  telemetry::DecisionAudit audit;
-  double t = 0.0;
-  if (tracing) {
-    t = trace_now();
-    telemetry::SpanId parent = external_cause_;
-    if (auto it = pending_cause_.find(prefix); it != pending_cause_.end()) {
-      parent = it->second;
-      pending_cause_.erase(it);
-    }
-    dspan = causal_->begin_span(telemetry::SpanKind::kDecision, parent, t, config_.asn, 0,
-                                "decision", prefix.to_string());
-    audit.span = dspan;
-    audit.time = t;
-    audit.as = config_.asn;
-    audit.prefix = prefix.to_string();
+void DbgpSpeaker::decide(const net::Prefix& prefix, std::vector<DbgpOutgoing>& out) {
+  plan_decision(prefix, cache_for(prefix), plan_);
+  commit_plan(plan_, out);
+}
+
+void DbgpSpeaker::plan_decision(const net::Prefix& prefix, ia::FrameCache& cache,
+                                DecisionPlan& plan) const {
+  plan.prefix = prefix;
+  plan.active = active_module(prefix);
+  plan.has_best = false;
+  plan.best = nullptr;
+  plan.emits.clear();
+  plan.audit.reset();
+  DecisionModule* active = plan.active;
+  const auto* candidates = ia_db_.candidate_map(prefix);
+
+  // With a tracer attached the plan carries the decision audit, built
+  // against the current selection; commit_plan mints its span and records it.
+  telemetry::DecisionAudit* audit = nullptr;
+  const IaRoute* prev = nullptr;
+  if (causal_ != nullptr) {
+    audit = &plan.audit.emplace();
+    audit->as = config_.asn;
+    audit->prefix = prefix.to_string();
     if (auto it = selected_.find(prefix); it != selected_.end()) {
-      audit.prev_path = it->second.ia.path_vector.to_string();
+      prev = &it->second;
+      audit->prev_path = prev->ia.path_vector.to_string();
     }
   }
-  const auto finish = [&](const IaRoute* result, bool origin, bool changed) {
-    if (!tracing) return;
-    audit.origin = origin;
-    audit.changed = changed;
-    if (result != nullptr) {
-      audit.best_path = result->ia.path_vector.to_string();
-      audit.best_via = result->via_span;
-    }
-    causal_->record_audit(std::move(audit));
-    causal_->end_span(dspan, t);
-    emit_parent_ = dspan;  // frames below chain to this decision
+  // The audit's RIB delta, as commit_plan will apply it: an unchanged
+  // learned incumbent stays installed; an origin is always installed.
+  const auto audit_result = [&](const IaRoute& winner, bool origin) {
+    audit->changed = prev == nullptr || prev->from_peer != winner.from_peer ||
+                     !(prev->ia == winner.ia);
+    const IaRoute& installed = audit->changed || origin ? winner : *prev;
+    audit->best_path = installed.ia.path_vector.to_string();
+    audit->best_via = installed.via_span;
   };
 
   if (originated_.count(prefix) > 0) {
@@ -586,31 +596,26 @@ void DbgpSpeaker::run_decision(const net::Prefix& prefix, std::vector<DbgpOutgoi
     ExportContext octx;
     octx.own_as = config_.asn;
     octx.own_island = config_.island;
-    IaRoute origin;
+    IaRoute& origin = plan.origin;
     origin.ia = factory_.create_origin(prefix, active, octx);
     origin.from_peer = bgp::kInvalidPeer;
-    if (auto it = origin_span_.find(prefix); it != origin_span_.end()) {
-      origin.via_span = it->second;
-    }
-    auto [slot, inserted] = selected_.try_emplace(prefix);
-    const bool changed = inserted || !(slot->second.ia == origin.ia) ||
-                         slot->second.from_peer != bgp::kInvalidPeer;
-    slot->second = std::move(origin);
-    if (changed && active != nullptr) active->on_best_changed(prefix, &slot->second);
-    if (tracing) {
-      if (const auto* cands = ia_db_.candidate_map(prefix)) {
-        for (const auto& [peer, c] : *cands) {
-          audit.candidates.push_back({c.neighbor_as, c.ia.path_vector.to_string(),
-                                      c.via_span, c.eligible, "origin-overrides"});
+    const auto span = origin_span_.find(prefix);
+    origin.via_span = span != origin_span_.end() ? span->second : 0;
+    plan.has_best = true;
+    if (audit != nullptr) {
+      if (candidates != nullptr) {
+        for (const auto& [peer, c] : *candidates) {
+          audit->candidates.push_back({c.neighbor_as, c.ia.path_vector.to_string(),
+                                       c.via_span, c.eligible, "origin-overrides"});
         }
       }
-      finish(&slot->second, /*origin=*/true, changed);
+      audit->origin = true;
+      audit_result(origin, /*origin=*/true);
     }
-    advertise_to_peers(active, prefix, slot->second, /*origin=*/true, out);
+    plan_advertise(active, prefix, origin, /*origin=*/true, cache, plan);
     return;
   }
 
-  const auto* candidates = ia_db_.candidate_map(prefix);
   const IaRoute* best = nullptr;
   bool fallback = false;
   if (candidates != nullptr) {
@@ -635,352 +640,194 @@ void DbgpSpeaker::run_decision(const net::Prefix& prefix, std::vector<DbgpOutgoi
     }
   }
 
-  if (tracing && candidates != nullptr) {
+  if (audit != nullptr && candidates != nullptr) {
     int i = 0;
-    for (const auto& [peer, cref] : *candidates) {
-      const IaRoute* c = &cref;
-      telemetry::AuditCandidate ac{c->neighbor_as, c->ia.path_vector.to_string(),
-                                   c->via_span, c->eligible, {}};
-      if (c == best) {
+    for (const auto& [peer, c] : *candidates) {
+      telemetry::AuditCandidate ac{c.neighbor_as, c.ia.path_vector.to_string(), c.via_span,
+                                   c.eligible, {}};
+      if (&c == best) {
         ac.outcome = "selected";
-        audit.selected = i;
-      } else if (!c->eligible && active != nullptr) {
+        audit->selected = i;
+      } else if (!c.eligible && active != nullptr) {
         ac.outcome = "ineligible:" + active->name();
       } else if (best == nullptr) {
         ac.outcome = "unreachable";
       } else if (!fallback) {
-        ac.outcome = "lost:" + active->explain_better(*best, *c);
+        ac.outcome = "lost:" + active->explain_better(*best, c);
       } else {
-        ac.outcome = best->ia.path_vector.hop_count() != c->ia.path_vector.hop_count()
+        ac.outcome = best->ia.path_vector.hop_count() != c.ia.path_vector.hop_count()
                          ? "lost:path-length"
                          : "lost:arrival-order";
       }
-      audit.candidates.push_back(std::move(ac));
+      audit->candidates.push_back(std::move(ac));
       ++i;
     }
   }
 
   if (best == nullptr) {
-    const bool had_route = selected_.count(prefix) > 0;
-    finish(nullptr, /*origin=*/false, had_route);
-    if (selected_.erase(prefix) > 0) {
-      if (active != nullptr) active->on_best_changed(prefix, nullptr);
-      for (bgp::PeerId peer = 0; peer < peers_.size(); ++peer) {
-        withdraw_from_peer(peer, prefix, out);
-      }
+    // Unreachable: withdraw everywhere (send() skips peers never sent to).
+    if (audit != nullptr) audit->changed = prev != nullptr;
+    for (bgp::PeerId peer = 0; peer < peers_.size(); ++peer) {
+      plan.emits.push_back({peer, nullptr});
     }
     return;
   }
 
-  auto [slot, inserted] = selected_.try_emplace(prefix);
-  const bool changed = inserted || slot->second.from_peer != best->from_peer ||
-                       !(slot->second.ia == best->ia);
-  if (changed) {
-    slot->second = *best;
-    if (active != nullptr) active->on_best_changed(prefix, &slot->second);
-  }
-  finish(&slot->second, /*origin=*/false, changed);
-  // Even when the selection is unchanged we re-advertise through delta
-  // suppression, which is a no-op if nothing differs.
-  advertise_to_peers(active, prefix, slot->second, /*origin=*/false, out);
-}
-
-// -- Parallel decision planning ----------------------------------------------
-//
-// plan_decision mirrors run_decision with tracing off, split into a pure
-// planning half (runs concurrently, reads the frozen pre-batch state, writes
-// only the plan and its shard's FrameCache) and commit_plan (runs
-// sequentially in first-touch order, performs every mutation run_decision
-// would have, in the same order). Keep the three in lockstep when changing
-// decision semantics — shard_pipeline_test pins their bit-identity.
-
-DbgpSpeaker::DecisionPlan DbgpSpeaker::plan_decision(const net::Prefix& prefix,
-                                                     ia::FrameCache& cache) const {
-  DecisionPlan plan;
-  plan.prefix = prefix;
-  DecisionModule* active = active_module(prefix);
-
-  if (originated_.count(prefix) > 0) {
-    ExportContext octx;
-    octx.own_as = config_.asn;
-    octx.own_island = config_.island;
-    IaRoute origin;
-    origin.ia = factory_.create_origin(prefix, active, octx);
-    origin.from_peer = bgp::kInvalidPeer;
-    auto it = selected_.find(prefix);
-    plan.changed = it == selected_.end() || !(it->second.ia == origin.ia) ||
-                   it->second.from_peer != bgp::kInvalidPeer;
-    plan.has_best = true;
-    plan.store = true;  // the sequential path overwrites even when unchanged
-    plan.best = std::move(origin);
-    plan_advertise(active, prefix, plan.best, /*origin=*/true, cache, plan);
-    return plan;
-  }
-
-  const auto* candidates = ia_db_.candidate_map(prefix);
-  const IaRoute* best = nullptr;
-  if (candidates != nullptr) {
-    if (active != nullptr) {
-      for (const auto& [peer, c] : *candidates) {
-        if (!c.eligible) continue;
-        if (best == nullptr || active->better(c, *best)) best = &c;
-      }
-    }
-    if (best == nullptr && !candidates->empty()) {
-      for (const auto& [peer, c] : *candidates) {
-        if (best == nullptr ||
-            c.ia.path_vector.hop_count() < best->ia.path_vector.hop_count() ||
-            (c.ia.path_vector.hop_count() == best->ia.path_vector.hop_count() &&
-             c.sequence < best->sequence)) {
-          best = &c;
-        }
-      }
-    }
-  }
-
-  if (best == nullptr) {
-    plan.has_best = false;
-    if (selected_.count(prefix) > 0) {
-      for (bgp::PeerId peer = 0; peer < peers_.size(); ++peer) {
-        plan_withdraw(peer, prefix, plan);
-      }
-    }
-    return plan;
-  }
-
-  auto it = selected_.find(prefix);
-  plan.changed = it == selected_.end() || it->second.from_peer != best->from_peer ||
-                 !(it->second.ia == best->ia);
   plan.has_best = true;
-  plan.store = plan.changed;
-  plan.best = *best;
-  plan_advertise(active, prefix, plan.best, /*origin=*/false, cache, plan);
-  return plan;
+  // A pointer, not a copy: ia_db_ does not change between planning and
+  // commit, and an unchanged selection (the common case) copies nothing.
+  plan.best = best;
+  if (audit != nullptr) audit_result(*best, /*origin=*/false);
+  // An unchanged incumbent has the same IA and peer as `best`, so the
+  // export is the same either way.
+  plan_advertise(active, prefix, *best, /*origin=*/false, cache, plan);
 }
 
 void DbgpSpeaker::plan_advertise(DecisionModule* active, const net::Prefix& prefix,
                                  const IaRoute& best, bool origin, ia::FrameCache& cache,
                                  DecisionPlan& plan) const {
+  plan.emits.reserve(peers_.size());
   for (bgp::PeerId peer = 0; peer < peers_.size(); ++peer) {
     if (!peers_[peer].up) continue;
-    if (!origin && peer == best.from_peer) {
-      plan_withdraw(peer, prefix, plan);  // split horizon
-      continue;
+    // Split horizon (and an export-filter reject) withdraws: a null frame.
+    ia::SharedFrame frame;
+    if (origin || peer != best.from_peer) {
+      frame = export_frame(active, prefix, best, origin, peer, cache);
     }
-    ExportContext ectx;
-    ectx.own_as = config_.asn;
-    ectx.own_island = config_.island;
-    ectx.to_peer = peer;
-    ectx.to_peer_as = peers_[peer].asn;
-    ectx.to_peer_in_same_island = peers_[peer].same_island;
-    ia::IntegratedAdvertisement ia_out =
-        origin ? factory_.create_origin(prefix, active, ectx)
-               : factory_.create_from_best(best, active, ectx);
-    if (!peers_[peer].same_island) {
-      FilterContext fctx;
-      fctx.own_as = config_.asn;
-      fctx.own_island = config_.island;
-      fctx.peer = peer;
-      fctx.peer_as = peers_[peer].asn;
-      fctx.ingress = false;
-      if (!export_filters_.apply(ia_out, fctx)) {
-        plan_withdraw(peer, prefix, plan);
-        continue;
-      }
-    }
-    ia::SharedFrame frame = cache.get_or_encode(ia_out, config_.codec, [&] {
-      return encode_announce(ia_out, config_.codec);
-    });
-    // Delta suppression against the pre-batch adj-out. Only this prefix's
-    // own commit can touch adj_out_[peer][prefix], so the pre-batch value
-    // is also the commit-time value and the decision is safe to make here.
-    if (auto pit = adj_out_.find(peer); pit != adj_out_.end()) {
-      if (auto sit = pit->second.find(prefix); sit != pit->second.end()) {
-        const ia::SharedFrame& sent = sit->second;
-        if (sent != nullptr && (sent == frame || *sent == *frame)) continue;
-      }
-    }
-    plan.emits.push_back({peer, std::move(frame), /*withdraw=*/false});
+    plan.emits.push_back({peer, std::move(frame)});
   }
 }
 
-void DbgpSpeaker::plan_withdraw(bgp::PeerId peer, const net::Prefix& prefix,
-                                DecisionPlan& plan) const {
-  auto it = adj_out_.find(peer);
-  if (it == adj_out_.end() || it->second.count(prefix) == 0) return;
-  plan.emits.push_back(
-      {peer, ia::make_shared_frame(encode_withdraw(prefix)), /*withdraw=*/true});
+ia::SharedFrame DbgpSpeaker::export_frame(DecisionModule* active, const net::Prefix& prefix,
+                                          const IaRoute& best, bool origin, bgp::PeerId peer,
+                                          ia::FrameCache& cache) const {
+  ExportContext ectx;
+  ectx.own_as = config_.asn;
+  ectx.own_island = config_.island;
+  ectx.to_peer = peer;
+  ectx.to_peer_as = peers_[peer].asn;
+  ectx.to_peer_in_same_island = peers_[peer].same_island;
+  // Origins are rebuilt per peer: some protocols (e.g., BGPSec) bind their
+  // control information to the specific peer the IA is sent to.
+  ia::IntegratedAdvertisement ia_out = origin ? factory_.create_origin(prefix, active, ectx)
+                                              : factory_.create_from_best(best, active, ectx);
+  // Stage 7: global export filters (skip island handling toward peers in
+  // our own island — abstraction happens only at the true egress).
+  if (!peers_[peer].same_island) {
+    FilterContext fctx;
+    fctx.own_as = config_.asn;
+    fctx.own_island = config_.island;
+    fctx.peer = peer;
+    fctx.peer_as = peers_[peer].asn;
+    fctx.ingress = false;
+    if (!export_filters_.apply(ia_out, fctx)) return nullptr;
+  }
+  // Encode-once fan-out: identical per-peer advertisements (the common case
+  // — export rewrites are the exception) resolve to one shared frame.
+  return cache.get_or_encode(ia_out, config_.codec,
+                             [&] { return encode_announce(ia_out, config_.codec); });
 }
 
 void DbgpSpeaker::commit_plan(DecisionPlan& plan, std::vector<DbgpOutgoing>& out) {
-  DecisionModule* active = active_module(plan.prefix);
+  // Mint the decision span, parented to the staged update that triggered
+  // this run (or to the external cause: a chaos event, a protocol switch);
+  // the frames below chain to it.
+  telemetry::SpanId dspan = 0;
+  if (plan.audit.has_value()) {
+    const double t = trace_now();
+    telemetry::SpanId parent = external_cause_;
+    if (auto it = pending_cause_.find(plan.prefix); it != pending_cause_.end()) {
+      parent = it->second;
+      pending_cause_.erase(it);
+    }
+    dspan = causal_->begin_span(telemetry::SpanKind::kDecision, parent, t, config_.asn, 0,
+                                "decision", plan.audit->prefix);
+    plan.audit->span = dspan;
+    plan.audit->time = t;
+    causal_->record_audit(std::move(*plan.audit));
+    causal_->end_span(dspan, t);
+  }
+  DecisionModule* active = plan.active;
   if (!plan.has_best) {
     if (selected_.erase(plan.prefix) > 0 && active != nullptr) {
       active->on_best_changed(plan.prefix, nullptr);
     }
-  } else if (plan.store) {
-    auto& slot = selected_[plan.prefix];
-    slot = std::move(plan.best);
-    if (plan.changed && active != nullptr) active->on_best_changed(plan.prefix, &slot);
-  }
-  for (PlannedEmit& e : plan.emits) {
-    if (e.withdraw) {
-      auto it = adj_out_.find(e.peer);
-      if (it == adj_out_.end() || it->second.erase(plan.prefix) == 0) continue;
-      ++stats_.withdraws_sent;
-      SpeakerMetrics::get().withdraws_sent->inc();
-      peer_metrics_[e.peer].withdraws_out->inc();
-      peer_metrics_[e.peer].adj_out_depth->set(
-          static_cast<std::int64_t>(it->second.size()));
-    } else {
-      adj_out_[e.peer][plan.prefix] = e.frame;
-      ++stats_.ias_sent;
-      SpeakerMetrics::get().ias_sent->inc();
-      peer_metrics_[e.peer].updates_out->inc();
-      peer_metrics_[e.peer].adj_out_depth->set(
-          static_cast<std::int64_t>(adj_out_[e.peer].size()));
+  } else {
+    const IaRoute& winner = plan.best != nullptr ? *plan.best : plan.origin;
+    auto [it, inserted] = selected_.try_emplace(plan.prefix);
+    IaRoute& slot = it->second;
+    const bool changed =
+        inserted || slot.from_peer != winner.from_peer || !(slot.ia == winner.ia);
+    // An unchanged learned route keeps the incumbent; an origin is always
+    // installed.
+    if (plan.best == nullptr) {
+      slot = std::move(plan.origin);
+    } else if (changed) {
+      slot = *plan.best;
     }
-    stats_.bytes_sent += e.frame->size();
-    SpeakerMetrics::get().bytes_sent->inc(e.frame->size());
-    out.push_back({e.peer, std::move(e.frame), 0});
+    if (changed && active != nullptr) active->on_best_changed(plan.prefix, &slot);
   }
+  for (PlannedEmit& e : plan.emits) send(e.peer, plan.prefix, std::move(e.frame), dspan, out);
 }
 
-void DbgpSpeaker::advertise_to_peers(DecisionModule* active, const net::Prefix& prefix,
-                                     const IaRoute& best, bool origin,
-                                     std::vector<DbgpOutgoing>& out) {
-  for (bgp::PeerId peer = 0; peer < peers_.size(); ++peer) {
-    if (!peers_[peer].up) continue;
-    if (!origin && peer == best.from_peer) {
-      // Split horizon.
-      withdraw_from_peer(peer, prefix, out);
-      continue;
-    }
-    ExportContext ectx;
-    ectx.own_as = config_.asn;
-    ectx.own_island = config_.island;
-    ectx.to_peer = peer;
-    ectx.to_peer_as = peers_[peer].asn;
-    ectx.to_peer_in_same_island = peers_[peer].same_island;
-
-    // Origins are rebuilt per peer: some protocols (e.g., BGPSec) bind their
-    // control information to the specific peer the IA is sent to.
-    ia::IntegratedAdvertisement ia_out =
-        origin ? factory_.create_origin(prefix, active, ectx)
-               : factory_.create_from_best(best, active, ectx);
-
-    // Stage 7: global export filters (skip island handling toward peers in
-    // our own island — abstraction happens only at the true egress).
-    if (!peers_[peer].same_island) {
-      FilterContext fctx;
-      fctx.own_as = config_.asn;
-      fctx.own_island = config_.island;
-      fctx.peer = peer;
-      fctx.peer_as = peers_[peer].asn;
-      fctx.ingress = false;
-      if (!export_filters_.apply(ia_out, fctx)) {
-        withdraw_from_peer(peer, prefix, out);
-        continue;
-      }
-    }
-    emit(peer, prefix, ia_out, out);
+void DbgpSpeaker::send(bgp::PeerId peer, const net::Prefix& prefix, ia::SharedFrame frame,
+                       telemetry::SpanId parent, std::vector<DbgpOutgoing>& out) {
+  const bool withdraw = frame == nullptr;
+  std::size_t depth = 0;
+  if (withdraw) {
+    auto it = adj_out_.find(peer);
+    if (it == adj_out_.end() || it->second.erase(prefix) == 0) return;  // never sent
+    depth = it->second.size();
+    frame = ia::make_shared_frame(encode_withdraw(prefix));
+    ++stats_.withdraws_sent;
+    SpeakerMetrics::get().withdraws_sent->inc();
+    peer_metrics_[peer].withdraws_out->inc();
+  } else {
+    auto& table = adj_out_[peer];
+    ia::SharedFrame& sent = table[prefix];
+    // Delta suppression; same cache entry => pointer equality, no byte walk.
+    if (sent != nullptr && (sent == frame || *sent == *frame)) return;
+    sent = frame;
+    depth = table.size();
+    ++stats_.ias_sent;
+    SpeakerMetrics::get().ias_sent->inc();
+    peer_metrics_[peer].updates_out->inc();
   }
-}
-
-void DbgpSpeaker::withdraw_from_peer(bgp::PeerId peer, const net::Prefix& prefix,
-                                     std::vector<DbgpOutgoing>& out) {
-  auto it = adj_out_.find(peer);
-  if (it == adj_out_.end() || it->second.erase(prefix) == 0) return;
-  ++stats_.withdraws_sent;
-  SpeakerMetrics::get().withdraws_sent->inc();
-  peer_metrics_[peer].withdraws_out->inc();
-  peer_metrics_[peer].adj_out_depth->set(static_cast<std::int64_t>(it->second.size()));
-  auto frame = ia::make_shared_frame(encode_withdraw(prefix));
-  stats_.bytes_sent += frame->size();
-  SpeakerMetrics::get().bytes_sent->inc(frame->size());
+  peer_metrics_[peer].adj_out_depth->set(static_cast<std::int64_t>(depth));
+  const bool notice =
+      !withdraw && config_.dissemination == Dissemination::kOutOfBand && lookup_ != nullptr;
   telemetry::SpanId span = 0;
   if (causal_ != nullptr) {
-    span = causal_->begin_span(telemetry::SpanKind::kFrame, emit_parent_, trace_now(),
-                               config_.asn, peers_.at(peer).asn, "withdraw",
+    span = causal_->begin_span(telemetry::SpanKind::kFrame, parent, trace_now(), config_.asn,
+                               peers_[peer].asn,
+                               withdraw ? "withdraw" : notice ? "notice" : "announce",
                                prefix.to_string());
   }
-  out.push_back({peer, std::move(frame), span});
-}
-
-void DbgpSpeaker::emit(bgp::PeerId peer, const net::Prefix& prefix,
-                       const ia::IntegratedAdvertisement& ia, std::vector<DbgpOutgoing>& out) {
-  if (!peers_.at(peer).up) return;  // nothing reaches (or is recorded for) a down peer
-  // Encode-once fan-out: identical per-peer advertisements (the common case
-  // — export rewrites are the exception) resolve to one shared frame.
-  ia::SharedFrame frame = frame_cache_.get_or_encode(ia, config_.codec, [&] {
-    return encode_announce(ia, config_.codec);
-  });
-  auto& sent = adj_out_[peer][prefix];
-  // Delta suppression; same cache entry => pointer equality, no byte walk.
-  if (sent != nullptr && (sent == frame || *sent == *frame)) return;
-  sent = frame;
-  ++stats_.ias_sent;
-  SpeakerMetrics::get().ias_sent->inc();
-  peer_metrics_[peer].updates_out->inc();
-  peer_metrics_[peer].adj_out_depth->set(
-      static_cast<std::int64_t>(adj_out_[peer].size()));
-  telemetry::SpanId span = 0;
-  if (causal_ != nullptr) {
-    span = causal_->begin_span(
-        telemetry::SpanKind::kFrame, emit_parent_, trace_now(), config_.asn,
-        peers_.at(peer).asn,
-        config_.dissemination == Dissemination::kOutOfBand && lookup_ != nullptr
-            ? "notice"
-            : "announce",
-        prefix.to_string());
-  }
-  if (config_.dissemination == Dissemination::kOutOfBand && lookup_ != nullptr) {
-    // The lookup service stores the bare IA bytes (no frame-type byte).
-    lookup_->put(LookupService::ia_key(config_.asn, peers_.at(peer).asn, prefix),
+  if (notice) {
+    // The lookup service stores the bare IA bytes (no frame-type byte); the
+    // peer receives only a notice to fetch them.
+    lookup_->put(LookupService::ia_key(config_.asn, peers_[peer].asn, prefix),
                  std::vector<std::uint8_t>(frame->begin() + 1, frame->end()));
-    auto notice = ia::make_shared_frame(encode_notice(prefix));
-    stats_.bytes_sent += notice->size();
-    SpeakerMetrics::get().bytes_sent->inc(notice->size());
-    out.push_back({peer, std::move(notice), span});
-  } else {
-    stats_.bytes_sent += frame->size();
-    SpeakerMetrics::get().bytes_sent->inc(frame->size());
-    out.push_back({peer, std::move(frame), span});
+    frame = ia::make_shared_frame(encode_notice(prefix));
   }
+  stats_.bytes_sent += frame->size();
+  SpeakerMetrics::get().bytes_sent->inc(frame->size());
+  out.push_back({peer, std::move(frame), span});
 }
 
 std::vector<DbgpOutgoing> DbgpSpeaker::sync_peer(bgp::PeerId peer) {
   std::vector<DbgpOutgoing> out;
   if (!peers_.at(peer).up) return out;
-  DecisionModule* active = nullptr;
   for (const auto& [prefix, best] : selected_) {
     if (best.from_peer == peer) continue;
+    ia::SharedFrame frame = export_frame(active_module(prefix), prefix, best,
+                                         best.from_peer == bgp::kInvalidPeer, peer,
+                                         cache_for(prefix));
+    if (frame == nullptr) continue;  // filtered out: nothing to sync
     // No decision runs here: a synced frame chains straight to whatever span
     // installed the route (its provenance), or to the session event itself.
-    if (causal_ != nullptr) {
-      emit_parent_ = best.via_span != 0 ? best.via_span : external_cause_;
-    }
-    active = active_module(prefix);
-    ExportContext ectx;
-    ectx.own_as = config_.asn;
-    ectx.own_island = config_.island;
-    ectx.to_peer = peer;
-    ectx.to_peer_as = peers_.at(peer).asn;
-    ectx.to_peer_in_same_island = peers_.at(peer).same_island;
-    const bool origin = best.from_peer == bgp::kInvalidPeer;
-    ia::IntegratedAdvertisement ia_out =
-        origin ? factory_.create_origin(prefix, active, ectx)
-               : factory_.create_from_best(best, active, ectx);
-    if (!peers_[peer].same_island) {
-      FilterContext fctx;
-      fctx.own_as = config_.asn;
-      fctx.own_island = config_.island;
-      fctx.peer = peer;
-      fctx.peer_as = peers_[peer].asn;
-      fctx.ingress = false;
-      if (!export_filters_.apply(ia_out, fctx)) continue;
-    }
-    emit(peer, prefix, ia_out, out);
+    send(peer, prefix, std::move(frame), best.via_span != 0 ? best.via_span : external_cause_,
+         out);
   }
   return out;
 }
@@ -996,8 +843,8 @@ std::vector<DbgpOutgoing> DbgpSpeaker::reevaluate_all(telemetry::SpanId cause) {
       route->eligible = active == nullptr || active->import_filter(*route);
     }
   }
-  for (const auto& prefix : ia_db_.prefixes()) run_decision(prefix, out);
-  for (const auto& [prefix, unused] : originated_) run_decision(prefix, out);
+  for (const auto& prefix : ia_db_.prefixes()) decide(prefix, out);
+  for (const auto& [prefix, unused] : originated_) decide(prefix, out);
   external_cause_ = 0;
   return out;
 }

@@ -127,15 +127,11 @@ class DbgpSpeaker {
   // staging in arrival order, per-shard parallel decision planning (each
   // shard owns its slice of the batch and its own FrameCache, so planning
   // is lock-free within a shard), then a sequential commit in global
-  // first-touch order. Plans only read the pre-batch RIB state and commits
-  // are the only mutation, so the emitted frames, RIB contents, and stats
-  // are bit-identical at every thread count and shard count — and identical
-  // to the sequential path a single-threaded pool (or no pool) takes.
-  //
-  // The parallel path disengages automatically (falling back to the exact
-  // sequential code) when causal tracing is attached (the tracer is
-  // single-threaded and span ids must be minted in order), or when
-  // dissemination is out-of-band (emit writes the lookup service).
+  // first-touch order. Every decision, batched or not, is such a plan +
+  // commit: plans only read the pre-batch RIB state, and commits make every
+  // mutation, tracer call, and lookup-service write. So the emitted frames,
+  // RIB contents, stats, spans, and audits are bit-identical at every thread
+  // count and shard count, with or without a tracer, in-band or out-of-band.
   //
   // Module contract: better() / annotate_export() / annotate_origin() /
   // explain_better() run concurrently across shards and must not mutate
@@ -143,7 +139,8 @@ class DbgpSpeaker {
   // and may. Every in-tree module satisfies this.
   void set_parallel(util::ThreadPool* pool, std::size_t shards = 0);
   std::size_t shard_count() const noexcept { return shards_; }
-  // True when the next flush will take the parallel path.
+  // True when the next flush will plan in parallel: a pool wider than one
+  // thread and more than one shard.
   bool parallel_active() const noexcept;
   // The shard owning a prefix (stable hash; independent of thread count).
   static std::size_t shard_of(const net::Prefix& prefix, std::size_t shards) noexcept;
@@ -208,7 +205,6 @@ class DbgpSpeaker {
   // Session (re-)establishment: marks the peer up and returns the full-table
   // sync a real session performs on open.
   std::vector<DbgpOutgoing> peer_up(bgp::PeerId peer, telemetry::SpanId cause = 0);
-  bool peer_is_up(bgp::PeerId peer) const { return peers_.at(peer).up; }
   // Crash recovery: drops all learned state (adj-in, selected routes,
   // adj-out, staged batch, frame cache) while keeping configuration —
   // originated prefixes, modules, filters, and the peer roster survive like
@@ -288,18 +284,9 @@ class DbgpSpeaker {
   std::optional<net::Prefix> stage_ia(bgp::PeerId from, ia::IntegratedAdvertisement ia,
                                       telemetry::SpanId cause);
   void flush_into(std::vector<DbgpOutgoing>& out);
-  // Decision + dissemination for one prefix (stages 4-7).
-  void run_decision(const net::Prefix& prefix, std::vector<DbgpOutgoing>& out);
-  void advertise_to_peers(DecisionModule* active, const net::Prefix& prefix,
-                          const IaRoute& best, bool origin,
-                          std::vector<DbgpOutgoing>& out);
-  void withdraw_from_peer(bgp::PeerId peer, const net::Prefix& prefix,
-                          std::vector<DbgpOutgoing>& out);
-  void emit(bgp::PeerId peer, const net::Prefix& prefix, const ia::IntegratedAdvertisement& ia,
-            std::vector<DbgpOutgoing>& out);
   DecisionModule* active_module(const net::Prefix& prefix) const;
 
-  // -- Parallel pipeline internals ------------------------------------------
+  // -- Decision pipeline internals ------------------------------------------
   // A frame staged raw by enqueue_frame in deferred-decode mode; `ia` is
   // filled by the parallel decode stage for announce frames.
   struct StagedFrame {
@@ -311,42 +298,60 @@ class DbgpSpeaker {
     // pool threads); the staging loop skips the frame and counts it.
     bool bad = false;
   };
-  // One frame a committed decision will send, suppression already decided
-  // against the (frozen) pre-batch adj-out.
+  // One frame a decision offers a peer (null = withdraw); commit_plan's
+  // send() suppresses what adj-out already holds.
   struct PlannedEmit {
     bgp::PeerId peer = bgp::kInvalidPeer;
     ia::SharedFrame frame;
-    bool withdraw = false;
   };
-  // The full effect of one prefix's decision, computed in parallel against
-  // the pre-batch state and applied by commit_plan in first-touch order.
+  // The full effect of one prefix's decision (stages 4-7), planned against
+  // the pre-decision state and applied by commit_plan.
   struct DecisionPlan {
     net::Prefix prefix;
+    DecisionModule* active = nullptr;
     bool has_best = false;  // false => erase from Loc-RIB, withdraw everywhere
-    bool store = false;     // write `best` into selected_
-    bool changed = false;   // fire on_best_changed
-    IaRoute best;
+    // The winner: an ia_db_ candidate, or nullptr when `origin` (a locally
+    // originated route, held by value) wins.
+    const IaRoute* best = nullptr;
+    IaRoute origin;
     std::vector<PlannedEmit> emits;
+    // Set only when tracing: the audit, minus the span and time that
+    // commit_plan mints.
+    std::optional<telemetry::DecisionAudit> audit;
   };
-  bool parallel_enabled() const noexcept;
   bool defer_decode() const noexcept;
   // Decodes staged raw frames (parallel) and stages them in arrival order
   // (sequential), building batch_ exactly as eager staging would have.
   void drain_staged();
-  DecisionPlan plan_decision(const net::Prefix& prefix, ia::FrameCache& cache) const;
+  ia::FrameCache& cache_for(const net::Prefix& prefix);
+  // Plans and commits one prefix's decision.
+  void decide(const net::Prefix& prefix, std::vector<DbgpOutgoing>& out);
+  // Overwrites `plan` with the prefix's decision; reads speaker state only.
+  void plan_decision(const net::Prefix& prefix, ia::FrameCache& cache,
+                     DecisionPlan& plan) const;
   void plan_advertise(DecisionModule* active, const net::Prefix& prefix, const IaRoute& best,
                       bool origin, ia::FrameCache& cache, DecisionPlan& plan) const;
-  void plan_withdraw(bgp::PeerId peer, const net::Prefix& prefix, DecisionPlan& plan) const;
+  // Stages 5-7 toward one peer: export rewrite, global export filters, and
+  // the shared encode. nullptr when the export filters reject the route.
+  ia::SharedFrame export_frame(DecisionModule* active, const net::Prefix& prefix,
+                               const IaRoute& best, bool origin, bgp::PeerId peer,
+                               ia::FrameCache& cache) const;
   void commit_plan(DecisionPlan& plan, std::vector<DbgpOutgoing>& out);
+  // Sends `frame`, or a withdraw when it is null: delta suppression against
+  // adj-out (a withdraw needs a prior advertisement), adj-out, counters, the
+  // frame span (parented to `parent`), and the lookup-service write for
+  // out-of-band dissemination.
+  void send(bgp::PeerId peer, const net::Prefix& prefix, ia::SharedFrame frame,
+            telemetry::SpanId parent, std::vector<DbgpOutgoing>& out);
 
   DbgpConfig config_;
   LookupService* lookup_;
   IaFactory factory_;
   std::vector<Peer> peers_;
   // Labeled per-peer session counters ("dbgp.peer.*|as=..,peer=..");
-  // parallel to peers_, resolved once at add_peer. Updated identically on
-  // the sequential (run_decision/emit) and parallel (commit_plan) paths so
-  // the shard pipeline's bit-identity extends to the telemetry plane.
+  // parallel to peers_, resolved once at add_peer. Outbound ones are updated
+  // only at commit, so the shard pipeline's bit-identity extends to the
+  // telemetry plane.
   std::vector<telemetry::PeerMetrics> peer_metrics_;
   std::vector<std::unique_ptr<DecisionModule>> modules_;
   net::PrefixTrie<ia::ProtocolId> active_ranges_;
@@ -367,9 +372,6 @@ class DbgpSpeaker {
   // Frames are shared with the cache, so the pointer-equality fast path
   // suppresses a re-advertisement without touching the bytes.
   std::pmr::map<bgp::PeerId, std::pmr::map<net::Prefix, ia::SharedFrame>> adj_out_;
-  // Encode-once fan-out across peers (and across decisions that re-select
-  // the same route).
-  ia::FrameCache frame_cache_;
   // Prefixes staged by enqueue_frame, awaiting one decision each. The dedup
   // set is hashed, not ordered: it eats one insert per staged frame on the
   // batched hot path, and first-touch ordering lives in batch_ anyway.
@@ -381,9 +383,13 @@ class DbgpSpeaker {
   // -- Parallel pipeline state ----------------------------------------------
   util::ThreadPool* pool_ = nullptr;
   std::size_t shards_ = 1;
-  // One FrameCache per shard: the cache's map is not thread-safe, but a
-  // shard's prefixes are planned by exactly one task per flush.
+  // Encode-once fan-out across peers (and across decisions that re-select
+  // the same route), one FrameCache per shard: the cache's map is not
+  // thread-safe, but a shard's prefixes are planned by exactly one task per
+  // flush. A single shard when no pool is attached.
   std::vector<ia::FrameCache> shard_caches_;
+  // decide()'s plan, reused so a one-prefix decision does not allocate.
+  DecisionPlan plan_;
   // Raw frames awaiting the deferred parallel decode (max_batch == 0 only).
   std::vector<StagedFrame> staged_;
   // Undecodable staged frames dropped by drain_staged; see take_deferred_rejects.
@@ -400,9 +406,6 @@ class DbgpSpeaker {
   // Root origination span per locally originated prefix. Survives
   // reset_routes() like originated_: a reboot does not re-originate.
   std::map<net::Prefix, telemetry::SpanId> origin_span_;
-  // Parent for frame spans minted by emit()/withdraw_from_peer(): the
-  // current decision span, or the synced route's via_span in sync_peer.
-  telemetry::SpanId emit_parent_ = 0;
   // Fallback decision parent for externally caused runs (peer_down after a
   // link cut, reevaluate_all after a protocol activation, ...).
   telemetry::SpanId external_cause_ = 0;

@@ -16,6 +16,7 @@
 //     through the portal (here: a LookupService).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -106,8 +107,10 @@ class WiserModule : public core::DecisionModule {
  private:
   Config config_;
   WiserCostExchange* exchange_;
-  std::uint64_t advertised_sum_ = 0;
-  std::uint64_t advertised_count_ = 0;
+  // annotate_export runs concurrently across a speaker's shards, so these
+  // are atomic; the sums commute, so the totals match at any thread count.
+  std::atomic<std::uint64_t> advertised_sum_{0};
+  std::atomic<std::uint64_t> advertised_count_{0};
 };
 
 }  // namespace dbgp::protocols

@@ -30,12 +30,6 @@ std::vector<Event> EventLog::events() const {
   return events_;
 }
 
-std::vector<Event> EventLog::events_since(std::size_t start) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (start >= events_.size()) return {};
-  return {events_.begin() + static_cast<std::ptrdiff_t>(start), events_.end()};
-}
-
 void EventLog::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   events_.clear();

@@ -48,8 +48,6 @@ class EventLog {
   std::size_t size() const;
   std::size_t dropped() const;
   std::vector<Event> events() const;
-  // Events at index >= start, for incremental consumers (cursor = size()).
-  std::vector<Event> events_since(std::size_t start) const;
   void clear();
 
   // One compact JSON object per line:

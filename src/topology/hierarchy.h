@@ -24,10 +24,6 @@ struct Hierarchy {
   // rest stubs.
   std::size_t tier1 = 0;
   std::size_t transits = 0;
-
-  bool is_tier1(NodeId u) const noexcept { return u < tier1; }
-  bool is_transit(NodeId u) const noexcept { return u >= tier1 && u < tier1 + transits; }
-  bool is_stub_node(NodeId u) const noexcept { return u >= tier1 + transits; }
 };
 
 Hierarchy generate_hierarchy(const HierarchyConfig& config, util::Rng& rng);

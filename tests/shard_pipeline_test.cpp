@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iomanip>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -93,6 +95,9 @@ struct RunResult {
   core::DbgpStats stats;
   std::uint64_t deferred_rejects = 0;
   std::uint64_t eager_rejects = 0;
+  // Out-of-band dissemination: every (key, IA bytes) record in the lookup
+  // service, in key order.
+  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> lookup;
 
   bool same_routes(const RunResult& other) const {
     return selected == other.selected && paths == other.paths;
@@ -112,12 +117,18 @@ struct RunResult {
 // Feeds `stream` into a fresh receiver attached to a `threads`-wide pool and
 // captures everything it emits. `shared_frames` selects the refcounted
 // enqueue overload (the deferred-decode path when max_batch == 0 and the
-// pool is wide); undecodable frames are counted, never fatal.
+// pool is wide); undecodable frames are counted, never fatal. With
+// out-of-band dissemination the receiver emits notices and publishes its
+// IAs to a lookup service, whose contents are captured too.
 RunResult run_receiver(const std::vector<WireFrame>& stream, std::size_t threads,
                        std::size_t shards = 0, std::size_t max_batch = 256,
-                       bool shared_frames = false) {
+                       bool shared_frames = false,
+                       core::Dissemination dissemination = core::Dissemination::kInBand) {
   util::ThreadPool pool(threads);
-  core::DbgpSpeaker rx(bgp_as(1, max_batch));
+  core::LookupService lookup;
+  core::DbgpConfig config = bgp_as(1, max_batch);
+  config.dissemination = dissemination;
+  core::DbgpSpeaker rx(config, &lookup);
   rx.add_module(std::make_unique<protocols::BgpModule>());
   const bgp::PeerId from_a = rx.add_peer(900);
   const bgp::PeerId from_b = rx.add_peer(901);
@@ -149,21 +160,31 @@ RunResult run_receiver(const std::vector<WireFrame>& stream, std::size_t threads
     result.paths.push_back(best == nullptr ? "?" : best->ia.path_vector.to_string());
   }
   result.stats = rx.stats();
+  for (const auto& key : lookup.keys_with_prefix("")) {
+    result.lookup.emplace_back(key, lookup.get(key).value());
+  }
   return result;
 }
 
 // -- Speaker-level bit-identity ----------------------------------------------
 
+// In-band and out-of-band receivers alike: out-of-band commits write the
+// lookup service, so its contents must match too.
 TEST(ShardPipeline, ThreadCountBitIdentity) {
   const auto stream = make_stream(300);
-  const RunResult baseline = run_receiver(stream, 1);
-  ASSERT_FALSE(baseline.emitted.empty());
-  ASSERT_FALSE(baseline.selected.empty());
-  for (const std::size_t threads : {2ul, 8ul}) {
-    const RunResult parallel = run_receiver(stream, threads);
-    EXPECT_EQ(baseline.emitted, parallel.emitted) << threads << " threads";
-    EXPECT_TRUE(baseline.same_routes(parallel)) << threads << " threads";
-    EXPECT_TRUE(baseline.same_stats(parallel)) << threads << " threads";
+  for (const auto mode : {core::Dissemination::kInBand, core::Dissemination::kOutOfBand}) {
+    const bool oob = mode == core::Dissemination::kOutOfBand;
+    const RunResult baseline = run_receiver(stream, 1, 0, 256, false, mode);
+    ASSERT_FALSE(baseline.emitted.empty());
+    ASSERT_FALSE(baseline.selected.empty());
+    ASSERT_EQ(baseline.lookup.empty(), !oob);
+    for (const std::size_t threads : {2ul, 8ul}) {
+      const RunResult parallel = run_receiver(stream, threads, 0, 256, false, mode);
+      EXPECT_EQ(baseline.emitted, parallel.emitted) << threads << " threads, oob " << oob;
+      EXPECT_TRUE(baseline.same_routes(parallel)) << threads << " threads, oob " << oob;
+      EXPECT_TRUE(baseline.same_stats(parallel)) << threads << " threads, oob " << oob;
+      EXPECT_EQ(baseline.lookup, parallel.lookup) << threads << " threads, oob " << oob;
+    }
   }
 }
 
@@ -248,7 +269,9 @@ TEST(ShardPipeline, PropertyRandomInterleavingsBitIdentical) {
 
 // -- The parallel gate --------------------------------------------------------
 
-TEST(ShardPipeline, GateDisengagesForCausalAndOutOfBand) {
+// The gate depends only on the pool width and the shard count: tracing and
+// out-of-band dissemination happen at commit, so they shard too.
+TEST(ShardPipeline, GateEngagesForCausalAndOutOfBand) {
   util::ThreadPool pool(4);
 
   core::DbgpSpeaker wide(bgp_as(1));
@@ -258,9 +281,9 @@ TEST(ShardPipeline, GateDisengagesForCausalAndOutOfBand) {
 
   telemetry::CausalTracer tracer;
   wide.set_causal(&tracer);
-  EXPECT_FALSE(wide.parallel_active());  // audits must mint ids in order
-  wide.set_causal(nullptr);
-  EXPECT_TRUE(wide.parallel_active());
+  EXPECT_TRUE(wide.parallel_active());  // spans and audits mint at commit
+  wide.set_parallel(&pool, 1);
+  EXPECT_FALSE(wide.parallel_active());  // one shard leaves nothing to split
 
   util::ThreadPool narrow_pool(1);
   core::DbgpSpeaker narrow(bgp_as(2));
@@ -272,7 +295,7 @@ TEST(ShardPipeline, GateDisengagesForCausalAndOutOfBand) {
   core::LookupService lookup;
   core::DbgpSpeaker oob(oob_config, &lookup);
   oob.set_parallel(&pool);
-  EXPECT_FALSE(oob.parallel_active());  // emit writes the lookup service
+  EXPECT_TRUE(oob.parallel_active());  // the lookup service is written at commit
 }
 
 // -- Network-level bit-identity ----------------------------------------------
@@ -385,10 +408,44 @@ TEST(ShardPipelineNetwork, ChaosBitIdenticalAcrossSpeakerThreads) {
   }
 }
 
-// Causal tracing pins every speaker to the sequential path; the span/audit
-// stream must come out identical whatever thread count was requested.
-TEST(ShardPipelineNetwork, CausalTracingForcesSequentialWithIdenticalAudits) {
-  auto run_causal = [](std::size_t speaker_threads) {
+// Every span and audit field, one string per record, so a mismatch names
+// the first differing record.
+std::vector<std::string> flatten_causal(const telemetry::CausalTracer& tracer) {
+  std::vector<std::string> out;
+  const auto num = [](double v) {
+    std::ostringstream os;
+    os << std::setprecision(17) << v;
+    return os.str();
+  };
+  for (const auto& s : tracer.spans()) {
+    out.push_back("span " + std::to_string(s.id) + " " + std::to_string(s.parent) + " " +
+                  std::to_string(s.trace) + " " + telemetry::to_string(s.kind) + " " +
+                  num(s.start) + " " + num(s.end) + " " + std::to_string(s.as) + " " +
+                  std::to_string(s.peer_as) + " " + s.name + " " + s.prefix + " " +
+                  s.detail);
+  }
+  for (const auto& a : tracer.audits()) {
+    std::string line = "audit " + std::to_string(a.span) + " " + num(a.time) + " " +
+                       std::to_string(a.as) + " " + a.prefix + " " +
+                       std::to_string(a.origin) + " " + std::to_string(a.selected) + " " +
+                       std::to_string(a.changed) + " [" + a.best_path + "] [" +
+                       a.prev_path + "] " + std::to_string(a.best_via);
+    for (const auto& c : a.candidates) {
+      line += " | " + std::to_string(c.neighbor_as) + " [" + c.path + "] " +
+              std::to_string(c.via_span) + " " + std::to_string(c.eligible) + " " +
+              c.outcome;
+    }
+    out.push_back(std::move(line));
+  }
+  return out;
+}
+
+// Traced speakers shard too (spans and audits are minted at commit, in
+// first-touch order), so the full span/audit content and the RIBs must come
+// out identical at 1 and 8 threads — including under chaos, where link cuts
+// drive peer_down/peer_up decisions through the same path.
+TEST(ShardPipelineNetwork, CausalTracingBitIdenticalAcrossSpeakerThreads) {
+  auto run_causal = [](std::size_t speaker_threads, bool with_chaos) {
     auto tracer = std::make_unique<telemetry::CausalTracer>();
     simnet::DbgpNetwork::Options options;
     options.delivery = simnet::DeliveryMode::kBatched;
@@ -396,18 +453,24 @@ TEST(ShardPipelineNetwork, CausalTracingForcesSequentialWithIdenticalAudits) {
     options.speaker_threads = speaker_threads;
     simnet::DbgpNetwork net = make_line(4, options);
     for (bgp::AsNumber asn = 1; asn <= 4; ++asn) {
-      EXPECT_FALSE(net.speaker(asn).parallel_active())
+      EXPECT_EQ(net.speaker(asn).parallel_active(), speaker_threads > 1)
           << "AS" << asn << " with " << speaker_threads << " threads";
     }
     for (std::uint32_t i = 0; i < 8; ++i) net.originate(1 + i % 4, nth_prefix(i));
+    if (with_chaos) {
+      simnet::ChaosPolicy policy(stress_chaos());
+      policy.inject(net);
+    }
     net.run_to_convergence();
-    return std::make_tuple(tracer->span_count(), tracer->audit_count(),
-                           dump_ribs(net, 4));
+    return std::make_pair(flatten_causal(*tracer), dump_ribs(net, 4));
   };
-  const auto baseline = run_causal(1);
-  const auto parallel = run_causal(8);
-  EXPECT_GT(std::get<1>(baseline), 0u);
-  EXPECT_EQ(baseline, parallel);
+  for (const bool with_chaos : {false, true}) {
+    const auto baseline = run_causal(1, with_chaos);
+    ASSERT_GT(baseline.first.size(), 0u);
+    const auto parallel = run_causal(8, with_chaos);
+    EXPECT_EQ(baseline.first, parallel.first) << "chaos " << with_chaos;
+    EXPECT_EQ(baseline.second, parallel.second) << "chaos " << with_chaos;
+  }
 }
 
 // Live reconfiguration: speaker-threads changes are refused while any
