@@ -93,8 +93,6 @@ bool BgpSpeaker::session_established(PeerId peer) const {
   return peers_.at(peer).fsm.established();
 }
 
-FsmState BgpSpeaker::session_state(PeerId peer) const { return peers_.at(peer).fsm.state(); }
-
 std::vector<Outgoing> BgpSpeaker::handle_bytes(PeerId from, std::span<const std::uint8_t> data,
                                                double now) {
   try {

@@ -83,7 +83,6 @@ class BgpSpeaker {
   std::vector<Outgoing> start_peer(PeerId peer, double now);
   std::vector<Outgoing> stop_peer(PeerId peer, double now);
   bool session_established(PeerId peer) const;
-  FsmState session_state(PeerId peer) const;
 
   // -- Input --------------------------------------------------------------
   // Feeds one complete raw message from a peer. Returns messages to send.

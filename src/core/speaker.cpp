@@ -305,7 +305,9 @@ void DbgpSpeaker::flush_into(std::vector<DbgpOutgoing>& out) {
   drain_staged();
   if (batch_.empty()) return;
   SpeakerMetrics::get().batch_size->record(static_cast<double>(batch_.size()));
-  if (parallel_active()) {
+  // A one-prefix batch has nothing to share out: it plans and commits in
+  // place, against the same shard cache, without waking the pool.
+  if (parallel_active() && batch_.size() > 1) {
     ShardMetrics::get().flushes->inc();
     // Stage 2a: per-shard decision planning. Each shard owns a slice of the
     // batch; plans read only the frozen pre-batch state (IA DB, Loc-RIB)
@@ -546,7 +548,8 @@ std::vector<DbgpOutgoing> DbgpSpeaker::withdraw_origin(const net::Prefix& prefix
 // changes, and delta suppression against adj-out. Immediate input,
 // peer_down, origination, and reevaluate_all plan and commit one prefix at a
 // time; flush() plans its batch per shard (in parallel when
-// parallel_active()) and commits in first-touch order.
+// parallel_active() and the batch holds more than one prefix) and commits in
+// first-touch order.
 
 ia::FrameCache& DbgpSpeaker::cache_for(const net::Prefix& prefix) {
   return shard_caches_[shard_of(prefix, shards_)];
@@ -796,19 +799,20 @@ void DbgpSpeaker::send(bgp::PeerId peer, const net::Prefix& prefix, ia::SharedFr
   peer_metrics_[peer].adj_out_depth->set(static_cast<std::int64_t>(depth));
   const bool notice =
       !withdraw && config_.dissemination == Dissemination::kOutOfBand && lookup_ != nullptr;
-  telemetry::SpanId span = 0;
-  if (causal_ != nullptr) {
-    span = causal_->begin_span(telemetry::SpanKind::kFrame, parent, trace_now(), config_.asn,
-                               peers_[peer].asn,
-                               withdraw ? "withdraw" : notice ? "notice" : "announce",
-                               prefix.to_string());
-  }
   if (notice) {
     // The lookup service stores the bare IA bytes (no frame-type byte); the
     // peer receives only a notice to fetch them.
     lookup_->put(LookupService::ia_key(config_.asn, peers_[peer].asn, prefix),
                  std::vector<std::uint8_t>(frame->begin() + 1, frame->end()));
     frame = ia::make_shared_frame(encode_notice(prefix));
+  }
+  telemetry::SpanId span = 0;
+  if (causal_ != nullptr) {
+    span = causal_->begin_span(telemetry::SpanKind::kFrame, parent, trace_now(), config_.asn,
+                               peers_[peer].asn,
+                               withdraw ? "withdraw" : notice ? "notice" : "announce",
+                               prefix.to_string(), /*detail=*/{},
+                               static_cast<std::uint32_t>(frame->size()));
   }
   stats_.bytes_sent += frame->size();
   SpeakerMetrics::get().bytes_sent->inc(frame->size());

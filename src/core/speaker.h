@@ -139,8 +139,8 @@ class DbgpSpeaker {
   // and may. Every in-tree module satisfies this.
   void set_parallel(util::ThreadPool* pool, std::size_t shards = 0);
   std::size_t shard_count() const noexcept { return shards_; }
-  // True when the next flush will plan in parallel: a pool wider than one
-  // thread and more than one shard.
+  // True when a flush of more than one prefix will plan in parallel: a pool
+  // wider than one thread and more than one shard.
   bool parallel_active() const noexcept;
   // The shard owning a prefix (stable hash; independent of thread count).
   static std::size_t shard_of(const net::Prefix& prefix, std::size_t shards) noexcept;

@@ -42,7 +42,6 @@ class LinkStateDb {
   std::vector<std::uint32_t> shortest_path(std::uint32_t from, std::uint32_t to) const;
 
   std::size_t link_count() const noexcept;
-  std::size_t node_count() const noexcept { return adjacency_.size(); }
 
  private:
   std::map<std::uint32_t, std::map<std::uint32_t, std::uint64_t>> adjacency_;

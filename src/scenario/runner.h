@@ -16,7 +16,6 @@
 #include "sim/experiment.h"
 #include "simnet/chaos.h"
 #include "simnet/network.h"
-#include "telemetry/trace.h"
 
 namespace dbgp::scenario {
 
@@ -85,12 +84,6 @@ class Runner {
  public:
   Runner() = default;
 
-  // Records per-hop IA propagation trace events during run(). Call before
-  // build() (tracing starts with the initial table sync); safe to call
-  // after, in which case tracing covers the remaining events.
-  void enable_tracing();
-  const telemetry::PropagationTracer& tracer() const noexcept { return tracer_; }
-
   // Records causal spans + decision audits during run() (telemetry/causal.h;
   // drives the Perfetto export and dbgp_explain). Call before build():
   // speakers bind to the tracer at creation.
@@ -145,8 +138,6 @@ class Runner {
   core::LookupService lookup_;
   protocols::AttestationAuthority authority_;
   std::unique_ptr<simnet::DbgpNetwork> net_;
-  telemetry::PropagationTracer tracer_;
-  bool tracing_ = false;
   telemetry::CausalTracer causal_;
   bool causal_tracing_ = false;
   simnet::DeliveryMode delivery_ = simnet::DeliveryMode::kImmediate;

@@ -34,7 +34,7 @@ void CausalTracer::note_dropped() {
 SpanId CausalTracer::begin_span(SpanKind kind, SpanId parent, double start,
                                 std::uint32_t as, std::uint32_t peer_as,
                                 std::string_view name, std::string prefix,
-                                std::string detail) {
+                                std::string detail, std::uint32_t bytes) {
   std::lock_guard<std::mutex> lock(mu_);
   const SpanId id = next_id_++;
   if (spans_.size() >= limit_) {
@@ -51,6 +51,7 @@ SpanId CausalTracer::begin_span(SpanKind kind, SpanId parent, double start,
                : parent <= spans_.size() ? spans_[parent - 1].trace
                                          : 0;
   span.kind = kind;
+  span.bytes = bytes;
   span.start = start;
   span.end = -1.0;
   span.as = as;
@@ -109,12 +110,6 @@ std::vector<Span> CausalTracer::spans() const {
 std::vector<DecisionAudit> CausalTracer::audits() const {
   std::lock_guard<std::mutex> lock(mu_);
   return audits_;
-}
-
-std::vector<DecisionAudit> CausalTracer::audits_since(std::size_t start) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (start >= audits_.size()) return {};
-  return {audits_.begin() + static_cast<std::ptrdiff_t>(start), audits_.end()};
 }
 
 std::size_t CausalTracer::span_count() const {

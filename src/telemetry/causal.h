@@ -2,14 +2,14 @@
 //
 // The paper's deployment results (Section 6.1, Figure 8) are causal claims:
 // *this* origination crossed *that* gulf and triggered *those* route
-// changes. The flat per-hop PropagationTracer cannot answer "why does AS X
-// use path P for prefix Q at time T" — this tracer can, because it records
-// the causal structure itself:
+// changes. A flat per-hop log cannot answer "why does AS X use path P for
+// prefix Q at time T" — this tracer can, because it records the causal
+// structure itself:
 //
 //   * every origination mints a root span whose id doubles as the trace id;
 //   * every emitted frame carries a span whose parent is the decision (or
 //     origination) that produced it; the span's [start, end] is the frame's
-//     wire transit in sim time;
+//     wire transit in sim time and `bytes` its size on the wire;
 //   * every decision-process run emits a DecisionAudit — the candidate set,
 //     the exact step that selected or rejected each candidate, and the
 //     resulting RIB delta — linked to the span of the inbound update that
@@ -24,10 +24,10 @@
 // per-AS-track timeline for chrome://tracing / ui.perfetto.dev.
 //
 // Ids are minted from a per-tracer counter, so a deterministic simulation
-// yields a byte-identical trace. Storage is bounded like PropagationTracer:
-// past the limit, spans/audits are counted (and surfaced via the
-// `telemetry.causal.dropped` registry counter) but not stored; dropped span
-// ids are still minted so causality stays consistent for the stored prefix.
+// yields a byte-identical trace. Storage is bounded: past the limit,
+// spans/audits are counted (and surfaced via the `telemetry.causal.dropped`
+// registry counter) but not stored; dropped span ids are still minted so
+// causality stays consistent for the stored prefix.
 #pragma once
 
 #include <cstddef>
@@ -62,6 +62,9 @@ struct Span {
   SpanId parent = 0;  // 0 for roots
   TraceId trace = 0;  // inherited from the parent chain; own id for roots
   SpanKind kind = SpanKind::kFrame;
+  // Wire size of the frame as sent (after any notice rewrite); 0 for other
+  // kinds. Sits in the padding after `kind`, so spans stay the same size.
+  std::uint32_t bytes = 0;
   double start = 0.0;  // sim seconds
   double end = -1.0;   // < start while open; == start for instants
   std::uint32_t as = 0;       // acting AS (the sender, for frames)
@@ -109,9 +112,11 @@ class CausalTracer {
   // Opens a span. `parent` 0 makes a root (trace = own id); otherwise the
   // trace id is inherited from the parent. Returns the minted id; ids keep
   // incrementing past the storage limit (the span is counted as dropped).
+  // `bytes` is the wire size, set for frame spans.
   SpanId begin_span(SpanKind kind, SpanId parent, double start, std::uint32_t as,
                     std::uint32_t peer_as, std::string_view name,
-                    std::string prefix = {}, std::string detail = {});
+                    std::string prefix = {}, std::string detail = {},
+                    std::uint32_t bytes = 0);
   // Closes a span; safe (a no-op) for dropped or unknown ids. May be called
   // again (a duplicated frame delivers twice; the last delivery wins).
   void end_span(SpanId id, double end);
@@ -129,10 +134,6 @@ class CausalTracer {
 
   std::vector<Span> spans() const;
   std::vector<DecisionAudit> audits() const;
-  // Copies the audits stored at index >= `start`, for incremental consumers
-  // (the route server's divergence watchdog polls with audit_count() as its
-  // cursor instead of re-copying the whole log every interval).
-  std::vector<DecisionAudit> audits_since(std::size_t start) const;
   std::size_t span_count() const;
   std::size_t audit_count() const;
   // Spans + audits that hit the cap and were not stored.

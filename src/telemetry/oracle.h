@@ -1,10 +1,11 @@
 // Convergence oracle: per-prefix convergence classification over the causal
 // trace DAG.
 //
-// "The queue drained" is not a convergence proof, and PR 6's sliding-window
-// watchdog (divergence.h) is a heuristic: it flags fast flipping but cannot
-// tell a chaos-induced reconvergence burst from a genuine dispute wheel, and
-// it never notices routes that silently stayed lost. This oracle classifies
+// "The queue drained" is not a convergence proof, and a sliding-window flip
+// counter is a heuristic: it flags fast flipping but cannot tell a
+// chaos-induced reconvergence burst from a genuine dispute wheel, and it
+// never notices routes that silently stayed lost. This oracle — the only
+// oscillation verdict the route server's `health` reports — classifies
 // each (as, prefix) pair — and the run — from the recorded history itself
 // (PR 4 spans + DecisionAudits), following the shape of the Daggitt–Griffin
 // convergence criteria (arXiv 2106.01184): a run converges iff every node's

@@ -37,6 +37,8 @@ Value span_args(const Span& s) {
   if (s.peer_as != 0)
     args.emplace_back("peer_as", Value(static_cast<std::uint64_t>(s.peer_as)));
   if (!s.detail.empty()) args.emplace_back("detail", Value(s.detail));
+  if (s.kind == SpanKind::kFrame)
+    args.emplace_back("bytes", Value(static_cast<std::uint64_t>(s.bytes)));
   return Value(std::move(args));
 }
 

@@ -38,22 +38,12 @@ std::size_t TimeSeriesSampler::sample_count() const {
   return samples_;
 }
 
-double TimeSeriesSampler::last_sample_time() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return have_sample_ ? last_time_ : 0.0;
-}
-
 std::vector<std::string> TimeSeriesSampler::series_names() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> names;
   names.reserve(series_.size());
   for (const auto& [name, points] : series_) names.push_back(name);
   return names;
-}
-
-bool TimeSeriesSampler::has_series(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return series_.find(name) != series_.end();
 }
 
 std::vector<TimeSeriesSampler::Point> TimeSeriesSampler::series(

@@ -50,9 +50,7 @@ class TimeSeriesSampler {
   bool sample(double now, bool force = false);
 
   std::size_t sample_count() const;
-  double last_sample_time() const;
   std::vector<std::string> series_names() const;
-  bool has_series(std::string_view name) const;
 
   // Raw points, oldest first (empty when the series is unknown).
   std::vector<Point> series(std::string_view name) const;

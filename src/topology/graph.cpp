@@ -5,11 +5,6 @@
 
 namespace dbgp::topology {
 
-NodeId AsGraph::add_node() {
-  adjacency_.emplace_back();
-  return static_cast<NodeId>(adjacency_.size() - 1);
-}
-
 namespace {
 Relationship inverse(Relationship rel) noexcept {
   switch (rel) {

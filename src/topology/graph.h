@@ -29,7 +29,6 @@ class AsGraph {
   explicit AsGraph(std::size_t n = 0) : adjacency_(n) {}
 
   std::size_t size() const noexcept { return adjacency_.size(); }
-  NodeId add_node();
 
   // Adds the edge in both directions with consistent relationship views.
   // `rel` is u's relationship to v (kProviderOf => u provides for v).

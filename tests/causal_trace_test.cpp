@@ -7,9 +7,11 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "core/lookup_service.h"
 #include "protocols/bgp_module.h"
 #include "scenario/parser.h"
 #include "scenario/runner.h"
@@ -249,6 +251,66 @@ TEST(CausalTracerTest, DisabledTracingRecordsNothing) {
   EXPECT_EQ(net.speaker(2).causal(), nullptr);
 }
 
+// A frame's wire size rides in the padding after `kind`: spans are exactly
+// as large as they would be without it.
+struct SpanWithoutBytes {
+  SpanId id, parent;
+  TraceId trace;
+  SpanKind kind;
+  double start, end;
+  std::uint32_t as, peer_as;
+  std::string name, prefix, detail;
+};
+static_assert(sizeof(Span) == sizeof(SpanWithoutBytes));
+
+// Every frame span records the size of the frame actually sent: summed per
+// sender it equals the speaker's bytes_sent, and out-of-band notices count
+// the notice, not the IA published to the lookup service.
+TEST(CausalTracerTest, FrameSpansCarryWireBytes) {
+  for (const auto mode : {core::Dissemination::kInBand, core::Dissemination::kOutOfBand}) {
+    CausalTracer tracer;
+    core::LookupService lookup;
+    simnet::DbgpNetwork::Options options;
+    options.causal = &tracer;
+    simnet::DbgpNetwork net(&lookup, options);
+    for (bgp::AsNumber asn = 1; asn <= 3; ++asn) {
+      core::DbgpConfig config = bgp_as(asn);
+      config.dissemination = mode;
+      net.add_as(config).add_module(std::make_unique<protocols::BgpModule>());
+    }
+    net.add_link(1, 2);
+    net.add_link(2, 3);
+    const auto prefix = *net::Prefix::parse("10.0.0.0/8");
+    net.originate(1, prefix);
+    net.run_to_convergence();
+    net.withdraw(1, prefix);
+    net.run_to_convergence();
+
+    std::map<std::uint32_t, std::uint64_t> sent;
+    std::set<std::string> names;
+    for (const Span& s : tracer.spans()) {
+      if (s.kind != SpanKind::kFrame) {
+        EXPECT_EQ(s.bytes, 0u) << to_string(s.kind);
+        continue;
+      }
+      names.insert(s.name);
+      sent[s.as] += s.bytes;
+      if (s.name == "withdraw") {
+        EXPECT_EQ(s.bytes, core::DbgpSpeaker::encode_withdraw(prefix).size());
+      } else if (s.name == "notice") {
+        EXPECT_EQ(s.bytes, core::DbgpSpeaker::encode_notice(prefix).size());
+      } else {
+        EXPECT_GT(s.bytes, core::DbgpSpeaker::encode_notice(prefix).size());
+      }
+    }
+    const bool oob = mode == core::Dissemination::kOutOfBand;
+    EXPECT_EQ(names, (std::set<std::string>{oob ? "notice" : "announce", "withdraw"}));
+    for (bgp::AsNumber asn = 1; asn <= 3; ++asn) {
+      EXPECT_EQ(sent[asn], net.speaker(asn).stats().bytes_sent) << "AS" << asn;
+    }
+  }
+}
+
 // -- Perfetto export ----------------------------------------------------------
 
 TEST(PerfettoExport, EmitsSortedEventsWithTraceEventKeys) {
@@ -273,6 +335,16 @@ TEST(PerfettoExport, EmitsSortedEventsWithTraceEventKeys) {
   }
   EXPECT_EQ(b, e);
   EXPECT_GT(b, 0u);
+  // Frame events carry their wire size; nothing else does.
+  std::size_t frames = 0;
+  for (const Span& s : line.tracer.spans()) frames += s.kind == SpanKind::kFrame ? 1 : 0;
+  std::size_t bytes_args = 0;
+  for (std::size_t pos = 0; (pos = json.find("\"bytes\":", pos)) != std::string::npos;
+       pos += 8) {
+    ++bytes_args;
+  }
+  EXPECT_GT(frames, 0u);
+  EXPECT_EQ(bytes_args, frames);
 }
 
 }  // namespace

@@ -12,9 +12,11 @@
 #include "scenario/runner.h"
 #include "simnet/chaos.h"
 #include "simnet/network.h"
+#include "telemetry/causal.h"
 #include "telemetry/metrics.h"
 #include "util/bytes.h"
 #include "util/rng.h"
+#include "frame_spans.h"
 
 namespace dbgp::simnet {
 namespace {
@@ -44,20 +46,6 @@ bool same_churn(const RunStats& a, const RunStats& b) {
          a.frames_rejected == b.frames_rejected;
 }
 
-bool same_trace(const std::vector<telemetry::TraceEvent>& a,
-                const std::vector<telemetry::TraceEvent>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].time != b[i].time || a[i].from_as != b[i].from_as ||
-        a[i].to_as != b[i].to_as || a[i].frame_type != b[i].frame_type ||
-        a[i].prefix != b[i].prefix || a[i].frame_bytes != b[i].frame_bytes ||
-        a[i].understood != b[i].understood) {
-      return false;
-    }
-  }
-  return true;
-}
-
 // -- Link API -----------------------------------------------------------------
 
 TEST(LinkApi, AddLinkOncePerPair) {
@@ -71,8 +59,8 @@ TEST(LinkApi, AddLinkOncePerPair) {
 
 TEST(LinkApi, DisconnectReconnectRestoresRoutes) {
   DbgpNetwork::Options options;
-  telemetry::PropagationTracer tracer;
-  options.tracer = &tracer;
+  telemetry::CausalTracer tracer;
+  options.causal = &tracer;
   DbgpNetwork net = make_line(3, options);
   const auto prefix = *net::Prefix::parse("10.0.0.0/8");
   net.originate(1, prefix);
@@ -85,18 +73,21 @@ TEST(LinkApi, DisconnectReconnectRestoresRoutes) {
   EXPECT_EQ(net.speaker(3).best(prefix), nullptr);
   EXPECT_EQ(net.link(2, 3).stats().flaps, 1u);
 
-  const std::size_t trace_before_reconnect = tracer.size();
+  const std::size_t trace_before_reconnect = tracer.span_count();
   net.link(2, 3).set_state(LinkState::kUp);
   net.run_to_convergence();
   ASSERT_NE(net.speaker(3).best(prefix), nullptr);
   EXPECT_EQ(net.speaker(3).best(prefix)->ia.path_vector.to_string(), path_before);
 
-  // Trace-verified: the restored session re-announced over the 2-3 link.
+  // Trace-verified: the restored session re-announced over the 2-3 link,
+  // and the frame was delivered (closed, no drop annotation).
   bool resynced = false;
-  const auto events = tracer.events();
-  for (std::size_t i = trace_before_reconnect; i < events.size(); ++i) {
-    resynced |= events[i].from_as == 2 && events[i].to_as == 3 &&
-                events[i].frame_type == "announce" && events[i].prefix == "10.0.0.0/8";
+  const auto spans = tracer.spans();
+  for (std::size_t i = trace_before_reconnect; i < spans.size(); ++i) {
+    const telemetry::Span& s = spans[i];
+    resynced |= s.kind == telemetry::SpanKind::kFrame && s.as == 2 && s.peer_as == 3 &&
+                s.name == "announce" && s.prefix == "10.0.0.0/8" && s.bytes > 0 &&
+                s.end >= s.start && s.detail.empty();
   }
   EXPECT_TRUE(resynced);
 }
@@ -266,15 +257,15 @@ ChaosOptions stress_chaos() {
 
 struct SeededRun {
   RunStats stats;
-  std::vector<telemetry::TraceEvent> trace;
+  std::vector<telemetry::Span> trace;  // frame spans
   std::string table;
 };
 
 SeededRun run_seeded(const ChaosOptions& chaos, DeliveryMode mode) {
-  telemetry::PropagationTracer tracer;
+  telemetry::CausalTracer tracer;
   DbgpNetwork::Options options;
   options.delivery = mode;
-  options.tracer = &tracer;
+  options.causal = &tracer;
   DbgpNetwork net = make_line(5, options);
   const auto prefix = *net::Prefix::parse("10.0.0.0/8");
   net.originate(1, prefix);
@@ -282,7 +273,7 @@ SeededRun run_seeded(const ChaosOptions& chaos, DeliveryMode mode) {
   policy.inject(net);
   SeededRun result;
   result.stats = net.run_to_convergence();
-  result.trace = tracer.events();
+  result.trace = tests::frame_spans(tracer);
   const auto* best = net.speaker(5).best(prefix);
   result.table = best == nullptr ? "unreachable" : best->ia.path_vector.to_string();
   return result;
@@ -292,7 +283,8 @@ TEST(Determinism, SameSeedReplaysBitIdentically) {
   const SeededRun a = run_seeded(stress_chaos(), DeliveryMode::kImmediate);
   const SeededRun b = run_seeded(stress_chaos(), DeliveryMode::kImmediate);
   EXPECT_TRUE(same_churn(a.stats, b.stats));
-  EXPECT_TRUE(same_trace(a.trace, b.trace));
+  EXPECT_TRUE(tests::same_frame_spans(a.trace, b.trace));
+  EXPECT_FALSE(a.trace.empty());
   EXPECT_EQ(a.table, b.table);
   EXPECT_GT(a.stats.link_flaps, 0u);  // the schedule actually did something
 }
@@ -312,17 +304,18 @@ TEST(Determinism, ChurnCountersMatchAcrossDeliveryModes) {
 TEST(Determinism, ZeroChaosLeavesRunsUntouched) {
   SeededRun plain;
   {
-    telemetry::PropagationTracer tracer;
+    telemetry::CausalTracer tracer;
     DbgpNetwork::Options options;
-    options.tracer = &tracer;
+    options.causal = &tracer;
     DbgpNetwork net = make_line(5, options);
     const auto prefix = *net::Prefix::parse("10.0.0.0/8");
     net.originate(1, prefix);
     plain.stats = net.run_to_convergence();
-    plain.trace = tracer.events();
+    plain.trace = tests::frame_spans(tracer);
   }
   const SeededRun with_zero_chaos = run_seeded(ChaosOptions{}, DeliveryMode::kImmediate);
-  EXPECT_TRUE(same_trace(plain.trace, with_zero_chaos.trace));
+  EXPECT_FALSE(plain.trace.empty());
+  EXPECT_TRUE(tests::same_frame_spans(plain.trace, with_zero_chaos.trace));
   EXPECT_EQ(plain.stats.processed, with_zero_chaos.stats.processed);
   EXPECT_EQ(with_zero_chaos.stats.link_flaps, 0u);
   EXPECT_EQ(with_zero_chaos.stats.frames_lost, 0u);

@@ -41,7 +41,8 @@
 #include "protocols/stackvec.h"
 #include "protocols/wiser.h"
 #include "simnet/network.h"
-#include "telemetry/trace.h"
+#include "telemetry/causal.h"
+#include "frame_spans.h"
 
 namespace dbgp {
 namespace {
@@ -183,16 +184,16 @@ struct DiffRun {
   std::string loc_rib;     // selected routes only, byte-exact
   std::string routes;      // selected routes at path-vector level (mode-stable)
   std::string full_state;  // originated + adj-in + selected + adj-out
-  std::vector<telemetry::TraceEvent> trace;
+  std::vector<telemetry::Span> trace;  // frame spans
   std::uint64_t processed = 0;
 };
 
 DiffRun run_mesh(simnet::DeliveryMode delivery, std::size_t speaker_threads) {
-  telemetry::PropagationTracer tracer;
+  telemetry::CausalTracer tracer;
   simnet::DbgpNetwork::Options options;
   options.delivery = delivery;
   options.speaker_threads = speaker_threads;
-  options.tracer = &tracer;
+  options.causal = &tracer;
   Mesh mesh = make_mesh(options);
   // Originations spread across archetypes: a gulf BGP AS, the BGPSec AS,
   // the FC-BGP AS, and the StackVec gateway island all source prefixes, so
@@ -207,7 +208,7 @@ DiffRun run_mesh(simnet::DeliveryMode delivery, std::size_t speaker_threads) {
 
   DiffRun result;
   result.processed = stats.processed;
-  result.trace = tracer.events();
+  result.trace = tests::frame_spans(tracer);
   for (const NodeSpec& spec : kMesh) {
     const auto& speaker = mesh.net->speaker(spec.asn);
     for (const auto& prefix : speaker.selected_prefixes()) {
@@ -229,20 +230,6 @@ DiffRun run_mesh(simnet::DeliveryMode delivery, std::size_t speaker_threads) {
   return result;
 }
 
-bool same_trace(const std::vector<telemetry::TraceEvent>& a,
-                const std::vector<telemetry::TraceEvent>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].time != b[i].time || a[i].from_as != b[i].from_as ||
-        a[i].to_as != b[i].to_as || a[i].frame_type != b[i].frame_type ||
-        a[i].prefix != b[i].prefix || a[i].frame_bytes != b[i].frame_bytes ||
-        a[i].understood != b[i].understood) {
-      return false;
-    }
-  }
-  return true;
-}
-
 TEST(ProtocolDifferential, MeshConvergesWithRoutesEverywhere) {
   const DiffRun run = run_mesh(simnet::DeliveryMode::kImmediate, 1);
   // Every AS selects every one of the 10 prefixes (the mesh is connected).
@@ -262,7 +249,8 @@ TEST(ProtocolDifferential, BatchedBitIdenticalAcrossThreadCounts) {
   for (const std::size_t threads : {2ul, 4ul}) {
     const DiffRun parallel = run_mesh(simnet::DeliveryMode::kBatched, threads);
     EXPECT_EQ(baseline.full_state, parallel.full_state) << threads << " threads";
-    EXPECT_TRUE(same_trace(baseline.trace, parallel.trace)) << threads << " threads";
+    EXPECT_TRUE(tests::same_frame_spans(baseline.trace, parallel.trace))
+        << threads << " threads";
     EXPECT_EQ(baseline.processed, parallel.processed) << threads << " threads";
   }
 }

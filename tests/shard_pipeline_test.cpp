@@ -26,6 +26,7 @@
 #include "util/bytes.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "frame_spans.h"
 
 namespace dbgp {
 namespace {
@@ -269,6 +270,25 @@ TEST(ShardPipeline, PropertyRandomInterleavingsBitIdentical) {
 
 // -- The parallel gate --------------------------------------------------------
 
+// A one-prefix flush has nothing to share out: it plans and commits in place
+// without waking the pool, so no shard flush is counted. A multi-prefix flush
+// on the same pool still shards. Both match the 1-thread run.
+TEST(ShardPipeline, SinglePrefixFlushStaysSequential) {
+  const telemetry::Counter& flushes =
+      telemetry::MetricsRegistry::global().counter("dbgp.shard.flushes");
+  for (const std::uint32_t prefixes : {1u, 30u}) {
+    const auto stream = make_stream(prefixes);
+    const RunResult baseline = run_receiver(stream, 1, 0, /*max_batch=*/0);
+    ASSERT_FALSE(baseline.selected.empty()) << prefixes << " prefixes";
+    const std::uint64_t before = flushes.value();
+    const RunResult pooled = run_receiver(stream, 4, 0, /*max_batch=*/0);
+    EXPECT_EQ(flushes.value() - before, prefixes > 1 ? 1u : 0u) << prefixes << " prefixes";
+    EXPECT_EQ(baseline.emitted, pooled.emitted) << prefixes << " prefixes";
+    EXPECT_TRUE(baseline.same_routes(pooled)) << prefixes << " prefixes";
+    EXPECT_TRUE(baseline.same_stats(pooled)) << prefixes << " prefixes";
+  }
+}
+
 // The gate depends only on the pool width and the shard count: tracing and
 // out-of-band dissemination happen at commit, so they shard too.
 TEST(ShardPipeline, GateEngagesForCausalAndOutOfBand) {
@@ -318,20 +338,6 @@ bool same_churn(const simnet::RunStats& a, const simnet::RunStats& b) {
          a.frames_rejected == b.frames_rejected;
 }
 
-bool same_trace(const std::vector<telemetry::TraceEvent>& a,
-                const std::vector<telemetry::TraceEvent>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].time != b[i].time || a[i].from_as != b[i].from_as ||
-        a[i].to_as != b[i].to_as || a[i].frame_type != b[i].frame_type ||
-        a[i].prefix != b[i].prefix || a[i].frame_bytes != b[i].frame_bytes ||
-        a[i].understood != b[i].understood) {
-      return false;
-    }
-  }
-  return true;
-}
-
 // Every AS's Loc-RIB flattened to one comparable string.
 std::string dump_ribs(simnet::DbgpNetwork& net, std::size_t n) {
   std::string out;
@@ -363,15 +369,15 @@ simnet::ChaosOptions stress_chaos() {
 
 struct NetworkRun {
   simnet::RunStats stats;
-  std::vector<telemetry::TraceEvent> trace;
+  std::vector<telemetry::Span> trace;  // frame spans
   std::string ribs;
 };
 
 NetworkRun run_network(std::size_t speaker_threads, bool with_chaos) {
-  telemetry::PropagationTracer tracer;
+  telemetry::CausalTracer tracer;
   simnet::DbgpNetwork::Options options;
   options.delivery = simnet::DeliveryMode::kBatched;
-  options.tracer = &tracer;
+  options.causal = &tracer;
   options.speaker_threads = speaker_threads;
   simnet::DbgpNetwork net = make_line(5, options);
   for (std::uint32_t i = 0; i < 20; ++i) net.originate(1 + i % 5, nth_prefix(i));
@@ -381,7 +387,7 @@ NetworkRun run_network(std::size_t speaker_threads, bool with_chaos) {
   }
   NetworkRun result;
   result.stats = net.run_to_convergence();
-  result.trace = tracer.events();
+  result.trace = tests::frame_spans(tracer);
   result.ribs = dump_ribs(net, 5);
   return result;
 }
@@ -389,10 +395,12 @@ NetworkRun run_network(std::size_t speaker_threads, bool with_chaos) {
 TEST(ShardPipelineNetwork, FaultFreeBitIdenticalAcrossSpeakerThreads) {
   const NetworkRun baseline = run_network(1, /*with_chaos=*/false);
   ASSERT_FALSE(baseline.ribs.empty());
+  ASSERT_FALSE(baseline.trace.empty());
   for (const std::size_t threads : {2ul, 8ul}) {
     const NetworkRun parallel = run_network(threads, /*with_chaos=*/false);
     EXPECT_TRUE(same_churn(baseline.stats, parallel.stats)) << threads << " threads";
-    EXPECT_TRUE(same_trace(baseline.trace, parallel.trace)) << threads << " threads";
+    EXPECT_TRUE(tests::same_frame_spans(baseline.trace, parallel.trace))
+        << threads << " threads";
     EXPECT_EQ(baseline.ribs, parallel.ribs) << threads << " threads";
   }
 }
@@ -403,7 +411,8 @@ TEST(ShardPipelineNetwork, ChaosBitIdenticalAcrossSpeakerThreads) {
   for (const std::size_t threads : {2ul, 8ul}) {
     const NetworkRun parallel = run_network(threads, /*with_chaos=*/true);
     EXPECT_TRUE(same_churn(baseline.stats, parallel.stats)) << threads << " threads";
-    EXPECT_TRUE(same_trace(baseline.trace, parallel.trace)) << threads << " threads";
+    EXPECT_TRUE(tests::same_frame_spans(baseline.trace, parallel.trace))
+        << threads << " threads";
     EXPECT_EQ(baseline.ribs, parallel.ribs) << threads << " threads";
   }
 }
@@ -422,7 +431,7 @@ std::vector<std::string> flatten_causal(const telemetry::CausalTracer& tracer) {
                   std::to_string(s.trace) + " " + telemetry::to_string(s.kind) + " " +
                   num(s.start) + " " + num(s.end) + " " + std::to_string(s.as) + " " +
                   std::to_string(s.peer_as) + " " + s.name + " " + s.prefix + " " +
-                  s.detail);
+                  std::to_string(s.bytes) + " " + s.detail);
   }
   for (const auto& a : tracer.audits()) {
     std::string line = "audit " + std::to_string(a.span) + " " + num(a.time) + " " +

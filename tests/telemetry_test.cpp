@@ -6,10 +6,10 @@
 
 #include "scenario/parser.h"
 #include "scenario/runner.h"
+#include "telemetry/causal.h"
 #include "telemetry/json_export.h"
 #include "telemetry/metrics.h"
 #include "telemetry/timer.h"
-#include "telemetry/trace.h"
 #include "util/json.h"
 
 namespace dbgp::telemetry {
@@ -166,22 +166,6 @@ TEST(Timers, DisabledScopedTimerRecordsNothing) {
   EXPECT_EQ(wall.count(), 0u);
 }
 
-TEST(Tracer, RecordsAndEnforcesLimit) {
-  PropagationTracer tracer(/*limit=*/2);
-  TraceEvent e;
-  e.from_as = 1;
-  e.to_as = 2;
-  e.frame_type = "announce";
-  tracer.record(e);
-  tracer.record(e);
-  tracer.record(e);  // beyond the limit: counted, not stored
-  EXPECT_EQ(tracer.size(), 2u);
-  EXPECT_EQ(tracer.dropped(), 1u);
-  tracer.clear();
-  EXPECT_EQ(tracer.size(), 0u);
-  EXPECT_EQ(tracer.dropped(), 0u);
-}
-
 // -- JSON ---------------------------------------------------------------------
 
 TEST(Json, ParseDumpRoundTrip) {
@@ -233,31 +217,6 @@ TEST(Json, SnapshotRoundTrip) {
   EXPECT_EQ(rh->buckets[2], 1u);  // overflow
 }
 
-TEST(Json, TraceExportShape) {
-  PropagationTracer tracer;
-  TraceEvent e;
-  e.time = 0.25;
-  e.from_as = 1;
-  e.to_as = 2;
-  e.frame_type = "announce";
-  e.prefix = "10.0.0.0/8";
-  e.frame_bytes = 40;
-  e.ia_bytes = 36;
-  e.protocols = {"bgp", "wiser"};
-  e.understood = true;
-  tracer.record(e);
-
-  const auto v = to_json(tracer);
-  ASSERT_NE(v.find("events"), nullptr);
-  const auto& events = v.find("events")->as_array();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_DOUBLE_EQ(events[0].number_or("time", 0.0), 0.25);
-  EXPECT_EQ(events[0].string_or("frame", ""), "announce");
-  EXPECT_EQ(events[0].find("protocols")->as_array().size(), 2u);
-  EXPECT_TRUE(events[0].find("understood")->as_bool());
-  EXPECT_DOUBLE_EQ(v.number_or("dropped", -1.0), 0.0);
-}
-
 // -- Integration: registry counters vs legacy DbgpStats -----------------------
 
 // The Figure 8 pathlet scenario (scenarios/figure8_pathlets.dbgp), inlined so
@@ -289,7 +248,7 @@ TEST(Integration, RegistryCountersMatchLegacyDbgpStats) {
   fresh_registry();
   const auto scenario = scenario::parse_scenario(kFigure8Pathlets);
   scenario::Runner runner;
-  runner.enable_tracing();
+  runner.enable_causal_tracing();
   runner.build(scenario);
   const auto result = runner.run();
   EXPECT_TRUE(result.converged);
@@ -334,12 +293,20 @@ TEST(Integration, RegistryCountersMatchLegacyDbgpStats) {
   ASSERT_NE(decode, nullptr);
   EXPECT_GT(decode->count, 0u);
 
-  // Tracing captured the propagation hop by hop.
-  const auto events = runner.tracer().events();
-  ASSERT_GE(events.size(), 1u);
-  EXPECT_EQ(events[0].frame_type, "announce");
-  EXPECT_GT(events[0].ia_bytes, 0u);
-  EXPECT_EQ(events[0].prefix, "131.1.4.0/24");
+  // Frame spans captured the propagation hop by hop, one per frame sent,
+  // with the wire size the speakers counted.
+  std::vector<Span> frames;
+  for (const Span& span : runner.causal().spans()) {
+    if (span.kind == SpanKind::kFrame) frames.push_back(span);
+  }
+  ASSERT_GE(frames.size(), 1u);
+  EXPECT_EQ(frames[0].name, "announce");
+  EXPECT_GT(frames[0].bytes, 0u);
+  EXPECT_EQ(frames[0].prefix, "131.1.4.0/24");
+  EXPECT_EQ(frames.size(), total.ias_sent + total.withdraws_sent);
+  std::uint64_t span_bytes = 0;
+  for (const Span& span : frames) span_bytes += span.bytes;
+  EXPECT_EQ(span_bytes, total.bytes_sent);
 }
 
 }  // namespace

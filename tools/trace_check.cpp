@@ -28,6 +28,8 @@
 //   * top level is an object with a `traceEvents` array;
 //   * every event has `ph`, `pid`, `tid`, and (except metadata) `ts`;
 //   * B/E/X/i events have a `name`; X events have a non-negative `dur`;
+//   * frame X events (`cat` "frame") carry their wire size as a
+//     non-negative integer `bytes` arg;
 //   * timed events are sorted by `ts` (the exporter's contract);
 //   * B/E pairs match per (pid, tid): every E closes an open B, none left
 //     open at the end;
@@ -36,8 +38,9 @@
 //
 // Exits 0 when every file passes, 1 on the first violation (with the file,
 // event index, and reason), 2 on IO/parse errors. The dbgp_trace_check
-// CMake target runs a scenario with --trace-format=perfetto and pipes the
-// result through this.
+// CMake target runs scenarios with --trace and pipes the results through
+// this.
+#include <cmath>
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -203,6 +206,15 @@ bool check_file(const std::string& path) {
         const Value* dur = ev.find("dur");
         if (dur == nullptr || !dur->is_number() || dur->as_double() < 0) {
           return fail(path, i, "X event without non-negative dur");
+        }
+        const Value* cat = ev.find("cat");
+        if (cat != nullptr && cat->is_string() && cat->as_string() == "frame") {
+          const Value* args = ev.find("args");
+          const Value* bytes = args != nullptr ? args->find("bytes") : nullptr;
+          if (bytes == nullptr || !bytes->is_number() || bytes->as_double() < 0 ||
+              bytes->as_double() != std::floor(bytes->as_double())) {
+            return fail(path, i, "frame event without non-negative integer bytes arg");
+          }
         }
       }
     } else if (phase == "s" || phase == "f") {
