@@ -77,6 +77,16 @@ class DecisionModule {
     (void)ctx;
   }
 
+  // Update-group contract. False (the default) promises that annotate_export
+  // and annotate_origin read the receiving peer only through
+  // ctx.to_peer_in_same_island: the speaker then exports once per update
+  // group (the up peers sharing that flag) and hands every member the same
+  // frame, so ctx.to_peer/to_peer_as name an arbitrary member. A module
+  // whose output depends on which peer receives it (BGPSec signs toward
+  // ctx.to_peer_as, R-BGP drops backups through it) returns true, and the
+  // speaker rebuilds the IA for each peer.
+  virtual bool peer_bound_export() const noexcept { return false; }
+
   // Notification that the best route changed (e.g., to program a FIB).
   // `best` is nullptr when the prefix became unreachable.
   virtual void on_best_changed(const net::Prefix& prefix, const IaRoute* best) {

@@ -4,10 +4,11 @@
 // control information for protocols that were not used in selection.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
+#include <forward_list>
 #include <memory_resource>
-#include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "bgp/types.h"
@@ -15,6 +16,34 @@
 #include "net/ipv4.h"
 
 namespace dbgp::core {
+
+// -- Hashed prefix tables (DESIGN.md §14) -------------------------------------
+// The speaker's per-prefix tables (IA DB, Loc-RIB, Adj-RIB-Out) are hashed,
+// arena-backed maps: one O(1) probe per lookup instead of an Rb-tree walk.
+template <typename V>
+using PrefixTable = std::pmr::unordered_map<net::Prefix, V, net::PrefixHash>;
+
+// A table's entries ascending by prefix. Every ordered output (full-table
+// sync, snapshots, dumps, per-prefix re-decisions) goes through this, so
+// emission order and snapshot bytes never depend on the hash layout.
+template <typename V>
+std::vector<const typename PrefixTable<V>::value_type*> sorted_entries(
+    const PrefixTable<V>& table) {
+  std::vector<const typename PrefixTable<V>::value_type*> out;
+  out.reserve(table.size());
+  for (const auto& entry : table) out.push_back(&entry);
+  std::sort(out.begin(), out.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  return out;
+}
+
+// A hashed table keeps its bucket array when its last entry goes; swapping
+// in a fresh table on the same arena hands the buckets back, so a drained
+// speaker returns to its exact pre-load arena footprint.
+template <typename V>
+void shed_if_empty(PrefixTable<V>& table) {
+  if (table.empty()) table = PrefixTable<V>(table.get_allocator());
+}
 
 // One received IA plus arrival metadata.
 struct IaRoute {
@@ -35,9 +64,12 @@ struct IaRoute {
 
 class IaDb {
  public:
-  // Table storage (map nodes) comes from `arena` — the owning speaker's
-  // shard-local RibArena (DESIGN.md §14). The IAs themselves hold their
-  // descriptor bytes via shared (interned) OpaqueTail arenas.
+  // A prefix's candidates, sorted by from_peer.
+  using Row = std::pmr::forward_list<IaRoute>;
+
+  // Table storage comes from `arena` — the owning speaker's shard-local
+  // RibArena (DESIGN.md §14). The IAs themselves hold their descriptor bytes
+  // via shared (interned) OpaqueTail arenas.
   explicit IaDb(std::pmr::memory_resource* arena = std::pmr::get_default_resource())
       : routes_(arena) {}
 
@@ -45,29 +77,28 @@ class IaDb {
   void upsert(IaRoute route);
   // Removes (peer, prefix); true if present.
   bool remove(bgp::PeerId peer, const net::Prefix& prefix);
-  // Drops everything from a peer; returns affected prefixes.
+  // Drops everything from a peer; returns the affected prefixes, ascending.
   std::vector<net::Prefix> remove_peer(bgp::PeerId peer);
-  // Drops every route (crash/restart reset) without disturbing the arena
-  // binding — unlike assigning a fresh IaDb, which std::pmr forbids to
-  // retarget allocators.
-  void clear() noexcept;
+  // Drops every route (crash/restart reset).
+  void clear();
 
-  const IaRoute* find(bgp::PeerId peer, const net::Prefix& prefix) const;
-  // All candidates for a prefix in peer order (deterministic).
-  std::vector<const IaRoute*> candidates(const net::Prefix& prefix) const;
-  std::vector<IaRoute*> candidates_mutable(const net::Prefix& prefix);
-  // Allocation-free view of the same candidates: the per-peer map for a
-  // prefix, nullptr when the prefix is unknown. Iteration order (peer id)
-  // matches candidates(); the pointer is invalidated by upsert/remove. The
-  // decision hot path iterates this instead of materializing a vector.
-  const std::pmr::map<bgp::PeerId, IaRoute>* candidate_map(const net::Prefix& prefix) const;
-  // All prefixes currently known (for full-table dumps to new peers).
+  // All candidates for a prefix in peer order (deterministic), borrowed from
+  // the table; empty when the prefix is unknown. A route's address is
+  // stable until that route is removed. The decision hot path iterates this
+  // without allocating.
+  const Row& candidates(const net::Prefix& prefix) const noexcept;
+  Row* candidates_mutable(const net::Prefix& prefix) noexcept;
+  // All prefixes currently known, ascending (full-table dumps, re-decisions).
   std::vector<net::Prefix> prefixes() const;
 
   std::size_t size() const noexcept { return size_; }
 
  private:
-  std::pmr::map<net::Prefix, std::pmr::map<bgp::PeerId, IaRoute>> routes_;
+  // prefix -> routes sorted by from_peer. Each route is one arena node of a
+  // single size: a contiguous row would grow through a different pool size
+  // class per route count, and with peers announcing in unrelated orders
+  // every class stays reserved at its peak (DESIGN.md §14).
+  PrefixTable<Row> routes_;
   std::size_t size_ = 0;
 };
 

@@ -12,6 +12,15 @@ namespace dbgp::core {
 
 namespace {
 constexpr auto kLog = "dbgp.speaker";
+// The speaker's own island export filters (constructor); they read no peer
+// field, so they do not split update groups.
+constexpr auto kIslandAbstractionFilter = "island-abstraction";
+constexpr auto kMembershipStampFilter = "membership-stamp";
+
+// An adj-out row with no advertisement left in any peer's slot.
+bool row_empty(std::span<const ia::SharedFrame> slots) {
+  return std::none_of(slots.begin(), slots.end(), [](const auto& f) { return f != nullptr; });
+}
 
 // Registry mirrors of DbgpStats, aggregated across every speaker in the
 // process (the per-speaker struct stays authoritative for tests). Pointers
@@ -102,11 +111,12 @@ DbgpSpeaker::DbgpSpeaker(DbgpConfig config, LookupService* lookup)
   import_filters_.add("loop-detection", loop_detection_filter());
   if (config_.island.valid()) {
     if (config_.abstract_island) {
-      export_filters_.add("island-abstraction",
+      export_filters_.add(kIslandAbstractionFilter,
                           island_abstraction_filter(config_.island_members,
                                                     config_.island_protocol));
     } else {
-      export_filters_.add("membership-stamp", membership_stamp_filter(config_.island_protocol));
+      export_filters_.add(kMembershipStampFilter,
+                          membership_stamp_filter(config_.island_protocol));
     }
   }
 }
@@ -466,7 +476,13 @@ std::vector<DbgpOutgoing> DbgpSpeaker::peer_down(bgp::PeerId peer, telemetry::Sp
   drain_staged();
   std::vector<DbgpOutgoing> out;
   peers_.at(peer).up = false;
-  adj_out_.erase(peer);
+  for (auto it = adj_out_.begin(); it != adj_out_.end();) {
+    AdjOutSlots& slots = it->second;
+    if (peer < slots.size()) slots[peer] = nullptr;
+    it = row_empty(slots) ? adj_out_.erase(it) : std::next(it);
+  }
+  shed_if_empty(adj_out_);
+  peers_[peer].adj_out = 0;
   peer_metrics_[peer].flaps->inc();
   peer_metrics_[peer].adj_out_depth->set(0);
   external_cause_ = cause;
@@ -487,7 +503,10 @@ std::vector<DbgpOutgoing> DbgpSpeaker::peer_up(bgp::PeerId peer, telemetry::Span
 void DbgpSpeaker::reset_routes() {
   ia_db_.clear();
   selected_.clear();
+  shed_if_empty(selected_);
   adj_out_.clear();
+  shed_if_empty(adj_out_);
+  for (Peer& p : peers_) p.adj_out = 0;
   batch_.clear();
   batch_seen_.clear();
   staged_.clear();
@@ -569,7 +588,7 @@ void DbgpSpeaker::plan_decision(const net::Prefix& prefix, ia::FrameCache& cache
   plan.emits.clear();
   plan.audit.reset();
   DecisionModule* active = plan.active;
-  const auto* candidates = ia_db_.candidate_map(prefix);
+  const IaDb::Row& candidates = ia_db_.candidates(prefix);
 
   // With a tracer attached the plan carries the decision audit, built
   // against the current selection; commit_plan mints its span and records it.
@@ -606,11 +625,9 @@ void DbgpSpeaker::plan_decision(const net::Prefix& prefix, ia::FrameCache& cache
     origin.via_span = span != origin_span_.end() ? span->second : 0;
     plan.has_best = true;
     if (audit != nullptr) {
-      if (candidates != nullptr) {
-        for (const auto& [peer, c] : *candidates) {
-          audit->candidates.push_back({c.neighbor_as, c.ia.path_vector.to_string(),
-                                       c.via_span, c.eligible, "origin-overrides"});
-        }
+      for (const IaRoute& c : candidates) {
+        audit->candidates.push_back({c.neighbor_as, c.ia.path_vector.to_string(), c.via_span,
+                                     c.eligible, "origin-overrides"});
       }
       audit->origin = true;
       audit_result(origin, /*origin=*/true);
@@ -621,31 +638,28 @@ void DbgpSpeaker::plan_decision(const net::Prefix& prefix, ia::FrameCache& cache
 
   const IaRoute* best = nullptr;
   bool fallback = false;
-  if (candidates != nullptr) {
-    if (active != nullptr) {
-      for (const auto& [peer, c] : *candidates) {
-        if (!c.eligible) continue;
-        if (best == nullptr || active->better(c, *best)) best = &c;
-      }
+  if (active != nullptr) {
+    for (const IaRoute& c : candidates) {
+      if (!c.eligible) continue;
+      if (best == nullptr || active->better(c, *best)) best = &c;
     }
-    if (best == nullptr && !candidates->empty()) {
-      // Baseline fallback: no module or no eligible candidates — preserve
-      // connectivity by shortest path vector, then arrival order.
-      fallback = true;
-      for (const auto& [peer, c] : *candidates) {
-        if (best == nullptr ||
-            c.ia.path_vector.hop_count() < best->ia.path_vector.hop_count() ||
-            (c.ia.path_vector.hop_count() == best->ia.path_vector.hop_count() &&
-             c.sequence < best->sequence)) {
-          best = &c;
-        }
+  }
+  if (best == nullptr && !candidates.empty()) {
+    // Baseline fallback: no module or no eligible candidates — preserve
+    // connectivity by shortest path vector, then arrival order.
+    fallback = true;
+    for (const IaRoute& c : candidates) {
+      if (best == nullptr || c.ia.path_vector.hop_count() < best->ia.path_vector.hop_count() ||
+          (c.ia.path_vector.hop_count() == best->ia.path_vector.hop_count() &&
+           c.sequence < best->sequence)) {
+        best = &c;
       }
     }
   }
 
-  if (audit != nullptr && candidates != nullptr) {
+  if (audit != nullptr) {
     int i = 0;
-    for (const auto& [peer, c] : *candidates) {
+    for (const IaRoute& c : candidates) {
       telemetry::AuditCandidate ac{c.neighbor_as, c.ia.path_vector.to_string(), c.via_span,
                                    c.eligible, {}};
       if (&c == best) {
@@ -690,15 +704,36 @@ void DbgpSpeaker::plan_advertise(DecisionModule* active, const net::Prefix& pref
                                  const IaRoute& best, bool origin, ia::FrameCache& cache,
                                  DecisionPlan& plan) const {
   plan.emits.reserve(peers_.size());
+  const bool grouped = grouped_export(active);
+  // Update groups, keyed by same_island: the group's frame, built for its
+  // first member that is offered the route.
+  ia::SharedFrame group_frame[2];
+  bool group_built[2] = {false, false};
   for (bgp::PeerId peer = 0; peer < peers_.size(); ++peer) {
     if (!peers_[peer].up) continue;
     // Split horizon (and an export-filter reject) withdraws: a null frame.
     ia::SharedFrame frame;
     if (origin || peer != best.from_peer) {
-      frame = export_frame(active, prefix, best, origin, peer, cache);
+      if (!grouped) {
+        frame = export_frame(active, prefix, best, origin, peer, cache);
+      } else {
+        const int g = peers_[peer].same_island ? 1 : 0;
+        if (!group_built[g]) {
+          group_frame[g] = export_frame(active, prefix, best, origin, peer, cache);
+          group_built[g] = true;
+        }
+        frame = group_frame[g];
+      }
     }
     plan.emits.push_back({peer, std::move(frame)});
   }
+}
+
+bool DbgpSpeaker::grouped_export(const DecisionModule* active) const noexcept {
+  if (active != nullptr && active->peer_bound_export()) return false;
+  const bool own_filter = export_filters_.has(kIslandAbstractionFilter) ||
+                          export_filters_.has(kMembershipStampFilter);
+  return export_filters_.size() == (own_filter ? 1u : 0u);
 }
 
 ia::SharedFrame DbgpSpeaker::export_frame(DecisionModule* active, const net::Prefix& prefix,
@@ -710,8 +745,9 @@ ia::SharedFrame DbgpSpeaker::export_frame(DecisionModule* active, const net::Pre
   ectx.to_peer = peer;
   ectx.to_peer_as = peers_[peer].asn;
   ectx.to_peer_in_same_island = peers_[peer].same_island;
-  // Origins are rebuilt per peer: some protocols (e.g., BGPSec) bind their
-  // control information to the specific peer the IA is sent to.
+  // Origins are rebuilt per peer (or per update group) too: some protocols
+  // (e.g., BGPSec) bind their control information to the specific peer the
+  // IA is sent to.
   ia::IntegratedAdvertisement ia_out = origin ? factory_.create_origin(prefix, active, ectx)
                                               : factory_.create_from_best(best, active, ectx);
   // Stage 7: global export filters (skip island handling toward peers in
@@ -752,8 +788,9 @@ void DbgpSpeaker::commit_plan(DecisionPlan& plan, std::vector<DbgpOutgoing>& out
   }
   DecisionModule* active = plan.active;
   if (!plan.has_best) {
-    if (selected_.erase(plan.prefix) > 0 && active != nullptr) {
-      active->on_best_changed(plan.prefix, nullptr);
+    if (selected_.erase(plan.prefix) > 0) {
+      shed_if_empty(selected_);
+      if (active != nullptr) active->on_best_changed(plan.prefix, nullptr);
     }
   } else {
     const IaRoute& winner = plan.best != nullptr ? *plan.best : plan.origin;
@@ -770,33 +807,54 @@ void DbgpSpeaker::commit_plan(DecisionPlan& plan, std::vector<DbgpOutgoing>& out
     }
     if (changed && active != nullptr) active->on_best_changed(plan.prefix, &slot);
   }
-  for (PlannedEmit& e : plan.emits) send(e.peer, plan.prefix, std::move(e.frame), dspan, out);
+  // One adj-out probe per decision: the prefix's row is found (or, when
+  // something may be announced, created) once and handed to every send. An
+  // all-withdraw decision with no row has nothing to withdraw.
+  const bool announces = std::any_of(plan.emits.begin(), plan.emits.end(),
+                                     [](const PlannedEmit& e) { return e.frame != nullptr; });
+  const auto row =
+      announces ? adj_out_.try_emplace(plan.prefix).first : adj_out_.find(plan.prefix);
+  if (row == adj_out_.end()) return;
+  AdjOutSlots& slots = row->second;
+  for (PlannedEmit& e : plan.emits) {
+    send(e.peer, plan.prefix, std::move(e.frame), slots, dspan, out);
+  }
+  if (row_empty(slots)) {
+    adj_out_.erase(row);
+    shed_if_empty(adj_out_);
+  }
+}
+
+DbgpSpeaker::AdjOutSlots& DbgpSpeaker::adj_out_row(const net::Prefix& prefix) {
+  return adj_out_.try_emplace(prefix).first->second;
 }
 
 void DbgpSpeaker::send(bgp::PeerId peer, const net::Prefix& prefix, ia::SharedFrame frame,
-                       telemetry::SpanId parent, std::vector<DbgpOutgoing>& out) {
+                       AdjOutSlots& slots, telemetry::SpanId parent,
+                       std::vector<DbgpOutgoing>& out) {
   const bool withdraw = frame == nullptr;
-  std::size_t depth = 0;
   if (withdraw) {
-    auto it = adj_out_.find(peer);
-    if (it == adj_out_.end() || it->second.erase(prefix) == 0) return;  // never sent
-    depth = it->second.size();
+    if (peer >= slots.size() || slots[peer] == nullptr) return;  // never sent
+    slots[peer] = nullptr;
+    --peers_[peer].adj_out;
     frame = ia::make_shared_frame(encode_withdraw(prefix));
     ++stats_.withdraws_sent;
     SpeakerMetrics::get().withdraws_sent->inc();
     peer_metrics_[peer].withdraws_out->inc();
   } else {
-    auto& table = adj_out_[peer];
-    ia::SharedFrame& sent = table[prefix];
+    // Rows are sized to the roster when a peer first needs a slot; peers
+    // added later grow them on demand.
+    if (peer >= slots.size()) slots.resize(peers_.size());
+    ia::SharedFrame& sent = slots[peer];
     // Delta suppression; same cache entry => pointer equality, no byte walk.
     if (sent != nullptr && (sent == frame || *sent == *frame)) return;
+    if (sent == nullptr) ++peers_[peer].adj_out;
     sent = frame;
-    depth = table.size();
     ++stats_.ias_sent;
     SpeakerMetrics::get().ias_sent->inc();
     peer_metrics_[peer].updates_out->inc();
   }
-  peer_metrics_[peer].adj_out_depth->set(static_cast<std::int64_t>(depth));
+  peer_metrics_[peer].adj_out_depth->set(static_cast<std::int64_t>(peers_[peer].adj_out));
   const bool notice =
       !withdraw && config_.dissemination == Dissemination::kOutOfBand && lookup_ != nullptr;
   if (notice) {
@@ -822,7 +880,8 @@ void DbgpSpeaker::send(bgp::PeerId peer, const net::Prefix& prefix, ia::SharedFr
 std::vector<DbgpOutgoing> DbgpSpeaker::sync_peer(bgp::PeerId peer) {
   std::vector<DbgpOutgoing> out;
   if (!peers_.at(peer).up) return out;
-  for (const auto& [prefix, best] : selected_) {
+  for (const auto* entry : sorted_entries(selected_)) {
+    const auto& [prefix, best] = *entry;
     if (best.from_peer == peer) continue;
     ia::SharedFrame frame = export_frame(active_module(prefix), prefix, best,
                                          best.from_peer == bgp::kInvalidPeer, peer,
@@ -830,8 +889,8 @@ std::vector<DbgpOutgoing> DbgpSpeaker::sync_peer(bgp::PeerId peer) {
     if (frame == nullptr) continue;  // filtered out: nothing to sync
     // No decision runs here: a synced frame chains straight to whatever span
     // installed the route (its provenance), or to the session event itself.
-    send(peer, prefix, std::move(frame), best.via_span != 0 ? best.via_span : external_cause_,
-         out);
+    send(peer, prefix, std::move(frame), adj_out_row(prefix),
+         best.via_span != 0 ? best.via_span : external_cause_, out);
   }
   return out;
 }
@@ -843,8 +902,8 @@ std::vector<DbgpOutgoing> DbgpSpeaker::reevaluate_all(telemetry::SpanId cause) {
   // Re-run module import filters (the active protocol may have changed).
   for (const auto& prefix : ia_db_.prefixes()) {
     DecisionModule* active = active_module(prefix);
-    for (IaRoute* route : ia_db_.candidates_mutable(prefix)) {
-      route->eligible = active == nullptr || active->import_filter(*route);
+    for (IaRoute& route : *ia_db_.candidates_mutable(prefix)) {
+      route.eligible = active == nullptr || active->import_filter(route);
     }
   }
   for (const auto& prefix : ia_db_.prefixes()) decide(prefix, out);
@@ -861,20 +920,27 @@ DbgpSpeaker::SpeakerState DbgpSpeaker::export_state() const {
   state.originated.reserve(originated_.size());
   for (const auto& [prefix, unused] : originated_) state.originated.push_back(prefix);
   for (const auto& prefix : ia_db_.prefixes()) {
-    for (const IaRoute* route : ia_db_.candidates(prefix)) {
-      state.adj_in.push_back({prefix, route->from_peer, route->neighbor_as,
-                              route->sequence, route->eligible,
-                              ia::encode_ia(route->ia, config_.codec)});
+    for (const IaRoute& route : ia_db_.candidates(prefix)) {
+      state.adj_in.push_back({prefix, route.from_peer, route.neighbor_as, route.sequence,
+                              route.eligible, ia::encode_ia(route.ia, config_.codec)});
     }
   }
-  for (const auto& [prefix, route] : selected_) {
+  for (const auto* entry : sorted_entries(selected_)) {
+    const auto& [prefix, route] = *entry;
     state.selected.push_back({prefix, route.from_peer, route.neighbor_as,
                               route.sequence, route.eligible,
                               ia::encode_ia(route.ia, config_.codec)});
   }
-  for (const auto& [peer, table] : adj_out_) {
-    for (const auto& [prefix, frame] : table) {
-      state.adj_out.push_back({prefix, peer, 0, 0, true, *frame});
+  // Peer-major, prefix-ascending.
+  const auto rows = sorted_entries(adj_out_);
+  std::size_t width = 0;
+  for (const auto* row : rows) width = std::max(width, row->second.size());
+  for (bgp::PeerId peer = 0; peer < width; ++peer) {
+    for (const auto* row : rows) {
+      const AdjOutSlots& slots = row->second;
+      if (peer < slots.size() && slots[peer] != nullptr) {
+        state.adj_out.push_back({row->first, peer, 0, 0, true, *slots[peer]});
+      }
     }
   }
   return state;
@@ -910,12 +976,17 @@ void DbgpSpeaker::restore_state(const SpeakerState& state, bool keep_adj_out) {
   }
   if (!keep_adj_out) return;
   for (const auto& r : state.adj_out) {
-    adj_out_[r.from_peer][r.prefix] = ia::make_shared_frame(r.bytes);
+    AdjOutSlots& slots = adj_out_row(r.prefix);
+    if (r.from_peer >= slots.size()) {
+      slots.resize(std::max<std::size_t>(peers_.size(), r.from_peer + 1));
+    }
+    if (slots[r.from_peer] == nullptr && r.from_peer < peers_.size()) {
+      ++peers_[r.from_peer].adj_out;
+    }
+    slots[r.from_peer] = ia::make_shared_frame(r.bytes);
   }
   for (bgp::PeerId peer = 0; peer < peers_.size(); ++peer) {
-    const auto it = adj_out_.find(peer);
-    peer_metrics_[peer].adj_out_depth->set(
-        it == adj_out_.end() ? 0 : static_cast<std::int64_t>(it->second.size()));
+    peer_metrics_[peer].adj_out_depth->set(static_cast<std::int64_t>(peers_[peer].adj_out));
   }
 }
 
@@ -928,6 +999,7 @@ std::vector<net::Prefix> DbgpSpeaker::selected_prefixes() const {
   std::vector<net::Prefix> out;
   out.reserve(selected_.size());
   for (const auto& [prefix, route] : selected_) out.push_back(prefix);
+  std::sort(out.begin(), out.end());
   return out;
 }
 

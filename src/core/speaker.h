@@ -273,7 +273,11 @@ class DbgpSpeaker {
     bgp::AsNumber asn = 0;
     bool same_island = false;
     bool up = true;  // session state; down peers receive nothing
+    std::size_t adj_out = 0;  // prefixes advertised to this peer (adj_out_depth)
   };
+  // A prefix's Adj-RIB-Out row: the last frame advertised to each peer,
+  // indexed by peer id (null = nothing advertised).
+  using AdjOutSlots = std::pmr::vector<ia::SharedFrame>;
 
   // Pipeline stages 1-3 for one frame/IA (filters, extractor, IA DB).
   // Returns the prefix whose decision process must run, if any; shared by
@@ -329,20 +333,31 @@ class DbgpSpeaker {
   // Overwrites `plan` with the prefix's decision; reads speaker state only.
   void plan_decision(const net::Prefix& prefix, ia::FrameCache& cache,
                      DecisionPlan& plan) const;
+  // Offers `best` to every up peer. Unless the export is peer-bound (see
+  // grouped_export), it runs once per update group and every member gets
+  // the group's frame.
   void plan_advertise(DecisionModule* active, const net::Prefix& prefix, const IaRoute& best,
                       bool origin, ia::FrameCache& cache, DecisionPlan& plan) const;
+  // True when the export toward a peer depends only on its same_island flag:
+  // the active module does not declare peer_bound_export() and the export
+  // chain holds nothing beyond the speaker's own island filter (which reads
+  // no peer field).
+  bool grouped_export(const DecisionModule* active) const noexcept;
   // Stages 5-7 toward one peer: export rewrite, global export filters, and
   // the shared encode. nullptr when the export filters reject the route.
   ia::SharedFrame export_frame(DecisionModule* active, const net::Prefix& prefix,
                                const IaRoute& best, bool origin, bgp::PeerId peer,
                                ia::FrameCache& cache) const;
   void commit_plan(DecisionPlan& plan, std::vector<DbgpOutgoing>& out);
+  // The prefix's adj-out row, created empty if absent (send() sizes it).
+  AdjOutSlots& adj_out_row(const net::Prefix& prefix);
   // Sends `frame`, or a withdraw when it is null: delta suppression against
-  // adj-out (a withdraw needs a prior advertisement), adj-out, counters, the
-  // frame span (parented to `parent`), and the lookup-service write for
-  // out-of-band dissemination.
+  // the prefix's adj-out row `slots` (a withdraw needs a prior
+  // advertisement), the row itself, counters, the frame span (parented to
+  // `parent`), and the lookup-service write for out-of-band dissemination.
+  // The caller erases a row that this leaves empty.
   void send(bgp::PeerId peer, const net::Prefix& prefix, ia::SharedFrame frame,
-            telemetry::SpanId parent, std::vector<DbgpOutgoing>& out);
+            AdjOutSlots& slots, telemetry::SpanId parent, std::vector<DbgpOutgoing>& out);
 
   DbgpConfig config_;
   LookupService* lookup_;
@@ -366,12 +381,13 @@ class DbgpSpeaker {
   // ia_db_ or selected_ passes through it (stage_ia, restore_state).
   ia::DescriptorInterner desc_interner_;
   // Selected best per prefix (the Loc-RIB analog).
-  std::pmr::map<net::Prefix, IaRoute> selected_;
+  PrefixTable<IaRoute> selected_;
   std::map<net::Prefix, bool> originated_;  // value unused; set semantics
-  // Last advertisement frame per (peer, prefix) for delta suppression.
-  // Frames are shared with the cache, so the pointer-equality fast path
+  // Last advertisement frame per (prefix, peer) for delta suppression; a
+  // row goes when its last slot empties. Frames are shared with the cache
+  // and across an update group, so the pointer-equality fast path
   // suppresses a re-advertisement without touching the bytes.
-  std::pmr::map<bgp::PeerId, std::pmr::map<net::Prefix, ia::SharedFrame>> adj_out_;
+  PrefixTable<AdjOutSlots> adj_out_;
   // Prefixes staged by enqueue_frame, awaiting one decision each. The dedup
   // set is hashed, not ordered: it eats one insert per staged frame on the
   // batched hot path, and first-touch ordering lives in batch_ anyway.

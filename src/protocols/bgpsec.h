@@ -90,6 +90,8 @@ class BgpSecModule : public core::DecisionModule {
                        const core::ExportContext& ctx) override;
   void annotate_origin(ia::IntegratedAdvertisement& out,
                        const core::ExportContext& ctx) override;
+  // Attestations are signed toward the receiving AS.
+  bool peer_bound_export() const noexcept override { return true; }
 
   // True if the route carries a chain that verified at import.
   bool chain_valid(const core::IaRoute& route) const noexcept;

@@ -40,6 +40,8 @@ class RBgpModule : public core::DecisionModule {
   // Attaches the best disjoint alternative as the backup-path descriptor.
   void annotate_export(const core::IaRoute& best, ia::IntegratedAdvertisement& out,
                        const core::ExportContext& ctx) override;
+  // The backup skips paths through the receiving AS.
+  bool peer_bound_export() const noexcept override { return true; }
 
   void on_best_changed(const net::Prefix& prefix, const core::IaRoute* best) override;
 

@@ -147,22 +147,11 @@ bool WiserModule::better(const core::IaRoute& a, const core::IaRoute& b) const {
 }
 
 void WiserModule::annotate_export(const core::IaRoute& best, ia::IntegratedAdvertisement& out,
-                                  const core::ExportContext& ctx) {
+                                  const core::ExportContext& /*ctx*/) {
   const std::uint64_t total = path_cost(best) + config_.internal_cost;
   out.set_path_descriptor(ia::kProtoWiser, ia::keys::kWiserPathCost, encode_wiser_cost(total));
   out.add_island_descriptor(config_.island, ia::kProtoWiser, ia::keys::kWiserPortalAddr,
                             encode_wiser_portal(config_.portal_addr));
-  if (!ctx.to_peer_in_same_island) {
-    advertised_sum_.fetch_add(total, std::memory_order_relaxed);
-    advertised_count_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void WiserModule::exchange_costs(ia::IslandId remote_island) {
-  if (exchange_ == nullptr) return;
-  exchange_->report_advertised(config_.island, remote_island,
-                               advertised_sum_.load(std::memory_order_relaxed),
-                               advertised_count_.load(std::memory_order_relaxed));
 }
 
 void WiserModule::annotate_origin(ia::IntegratedAdvertisement& out,

@@ -16,7 +16,6 @@
 //     through the portal (here: a LookupService).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -93,11 +92,6 @@ class WiserModule : public core::DecisionModule {
   void annotate_origin(ia::IntegratedAdvertisement& out,
                        const core::ExportContext& ctx) override;
 
-  // Publishes the costs this island has advertised toward `remote_island`
-  // via the cost-exchange portal (the periodic two-way exchange D-BGP must
-  // carry out-of-band because BGP advertisements are one-way).
-  void exchange_costs(ia::IslandId remote_island);
-
   // Reads the cost observed on a route (scaled), defaulting to 0 when the
   // advertisement carries no Wiser information (gulf-only path).
   static std::uint64_t path_cost(const core::IaRoute& route) noexcept;
@@ -107,10 +101,6 @@ class WiserModule : public core::DecisionModule {
  private:
   Config config_;
   WiserCostExchange* exchange_;
-  // annotate_export runs concurrently across a speaker's shards, so these
-  // are atomic; the sums commute, so the totals match at any thread count.
-  std::atomic<std::uint64_t> advertised_sum_{0};
-  std::atomic<std::uint64_t> advertised_count_{0};
 };
 
 }  // namespace dbgp::protocols

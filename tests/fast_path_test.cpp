@@ -7,6 +7,8 @@
 #include "ia/codec.h"
 #include "ia/frame_cache.h"
 #include "protocols/bgp_module.h"
+#include "protocols/bgpsec.h"
+#include "protocols/rbgp.h"
 #include "simnet/event_queue.h"
 #include "telemetry/metrics.h"
 #include "util/bytes.h"
@@ -245,9 +247,10 @@ TEST(FrameCache, OptionsArePartOfTheKey) {
   EXPECT_EQ(encodes, 2);
 }
 
-// Speaker-level: one decision fanning an advertisement out to N peers
-// encodes once and reuses the frame N-1 times (visible in the
-// dbgp.codec.frame_cache.{hits,misses} counters).
+// Speaker-level: one decision fanning an advertisement out to N peers of one
+// update group exports and encodes once, and every member gets the same
+// frame. The group shares it before the cache is asked, so the
+// dbgp.codec.frame_cache.{hits,misses} counters see one miss and no hit.
 TEST(FrameCache, SpeakerFanOutHitsCache) {
   core::DbgpConfig config;
   config.asn = 65000;
@@ -267,9 +270,9 @@ TEST(FrameCache, SpeakerFanOutHitsCache) {
   const std::uint64_t misses_before = cache_counter("dbgp.codec.frame_cache.misses");
   const auto out = speaker.handle_ia(from, ia);
   ASSERT_EQ(out.size(), 4u);  // split horizon toward the announcer
-  // One encode for the first peer; the other three share it.
+  // One export and one encode for the group; no per-peer cache lookups.
   EXPECT_EQ(cache_counter("dbgp.codec.frame_cache.misses") - misses_before, 1u);
-  EXPECT_EQ(cache_counter("dbgp.codec.frame_cache.hits") - hits_before, 3u);
+  EXPECT_EQ(cache_counter("dbgp.codec.frame_cache.hits") - hits_before, 0u);
   for (std::size_t i = 1; i < out.size(); ++i) {
     EXPECT_EQ(out[i].frame.get(), out[0].frame.get());
   }
@@ -313,6 +316,82 @@ TEST(FrameCache, PerPeerExportRewriteInvalidatesSharing) {
     ASSERT_NE(stamp, nullptr);
     EXPECT_EQ(stamp->value, std::vector<std::uint8_t>{
                                 static_cast<std::uint8_t>(out[i].peer)});
+  }
+}
+
+// The same contract for modules that declare a peer-bound export: BGPSec
+// signs each attestation toward the receiving AS, and R-BGP's backup avoids
+// it. Neither may be exported once per update group; each yields one announce
+// per receiving peer, pairwise different.
+IntegratedAdvertisement announce_path(std::vector<bgp::AsNumber> path) {
+  IntegratedAdvertisement ia;
+  ia.destination = *net::Prefix::parse("10.2.0.0/16");
+  for (auto it = path.rbegin(); it != path.rend(); ++it) ia.path_vector.prepend_as(*it);
+  ia.baseline.next_hop = net::Ipv4Address(1, 1, 1, 1);
+  ia.baseline.as_path = ia.path_vector.to_bgp_as_path();
+  return ia;
+}
+
+// The announce frames of `out`, checked to differ pairwise.
+std::vector<const core::DbgpOutgoing*> distinct_announces(
+    const std::vector<core::DbgpOutgoing>& out) {
+  std::vector<const core::DbgpOutgoing*> frames;
+  for (const auto& o : out) {
+    if (o.bytes()[0] == static_cast<std::uint8_t>(core::FrameType::kAnnounce)) {
+      frames.push_back(&o);
+    }
+  }
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    for (std::size_t j = i + 1; j < frames.size(); ++j) {
+      EXPECT_NE(*frames[i]->frame, *frames[j]->frame)
+          << "peers " << frames[i]->peer << " and " << frames[j]->peer;
+    }
+  }
+  return frames;
+}
+
+core::DbgpConfig per_peer_config(ProtocolId active) {
+  core::DbgpConfig config;
+  config.asn = 65000;
+  config.next_hop = net::Ipv4Address(10, 0, 0, 1);
+  config.active_protocol = active;
+  return config;
+}
+
+TEST(FrameCache, PerPeerExportRewriteInvalidatesSharingBgpSec) {
+  const protocols::AttestationAuthority authority;
+  core::DbgpSpeaker speaker(per_peer_config(kProtoBgpSec));
+  speaker.add_module(std::make_unique<protocols::BgpSecModule>(
+      protocols::BgpSecModule::Config{65000, {}, false}, &authority));
+  const bgp::PeerId from = speaker.add_peer(65001);
+  for (int p = 1; p < 4; ++p) speaker.add_peer(65001 + p);
+
+  EXPECT_EQ(distinct_announces(speaker.handle_ia(from, announce_path({65001}))).size(), 3u);
+  // Locally originated routes are signed per peer too.
+  EXPECT_EQ(distinct_announces(speaker.originate(*net::Prefix::parse("10.9.0.0/16"))).size(),
+            4u);
+}
+
+TEST(FrameCache, PerPeerExportRewriteInvalidatesSharingRBgp) {
+  core::DbgpSpeaker speaker(per_peer_config(kProtoRBgp));
+  speaker.add_module(std::make_unique<protocols::RBgpModule>(protocols::RBgpModule::Config{}));
+  const bgp::PeerId primary = speaker.add_peer(65001);
+  const bgp::PeerId p2 = speaker.add_peer(65002);
+  const bgp::PeerId p3 = speaker.add_peer(65003);
+  const bgp::PeerId p4 = speaker.add_peer(65004);
+  // Alternatives, shortest first: each receiver's backup is the shortest one
+  // that avoids its AS — 65002 gets p3's, 65003 gets p4's, 65004 gets p2's.
+  speaker.handle_ia(p3, announce_path({65003, 65004, 9}));
+  speaker.handle_ia(p4, announce_path({65004, 7, 8, 9}));
+  speaker.handle_ia(p2, announce_path({65002, 7, 8, 6, 9}));
+
+  const auto frames = distinct_announces(speaker.handle_ia(primary, announce_path({65001, 9})));
+  ASSERT_EQ(frames.size(), 3u);
+  for (const auto* f : frames) {
+    const auto decoded = decode_ia(std::span(f->frame->begin() + 1, f->frame->end()));
+    const IaPathVector backup = protocols::RBgpModule::backup_path(decoded);
+    EXPECT_GT(backup.hop_count(), 0u);
+    EXPECT_FALSE(backup.contains_as(speaker.peer_as(f->peer)));
   }
 }
 
